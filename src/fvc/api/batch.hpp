@@ -20,11 +20,10 @@
 /// arrivals pile in before the kernel pass.
 ///
 /// Bit-identity contract: batching changes *scheduling*, never results.
-/// `Session::query_points` answers each point through
-/// `GridEvalEngine::eval_point`, which is bit-identical to the scalar
-/// oracle path behind `Session::query_point` (one candidate gather + one
-/// sort feed all three predicates; the classify pipeline replicates the
-/// oracle's IEEE operation sequence).  The round's digest is captured
+/// `Session::query_points` and the unbatched `Session::query_point` both
+/// answer each point through `GridEvalEngine::eval_point` (one candidate
+/// gather + one sort feed all three predicates), so a point gets the same
+/// bytes whichever round, if any, carried it.  The round's digest is captured
 /// under the same session-mutex hold that evaluates the points, so a
 /// concurrent what-if edit can never tear a batch: every answer in a
 /// round is consistent with the digest it reports.
@@ -32,7 +31,8 @@
 /// Drain safety is structural: every enqueued waiter is evaluated by
 /// *some* leader — itself, if nobody else is around — so a daemon drain
 /// mid-batch flushes followers with answers, never EOF.  A throwing
-/// round (cannot happen for in-range points, but the contract holds
+/// round (cannot happen: the serve loop rejects out-of-domain points at
+/// parse time, before they reach the queue — but the contract holds
 /// regardless) fails every waiter of that round with the error message;
 /// the connection loops turn it into `ok:false` responses.
 ///

@@ -84,8 +84,18 @@ std::string points_response(const std::string& digest,
   return w.finish();
 }
 
+/// The `point` op's coordinates, validated against the session's
+/// [0, 1]^2 domain at parse time — before the batcher, so one bad request
+/// cannot fail a whole group-commit round.
+std::pair<double, double> point_coords(const WireObject& req) {
+  const double x = get_number(req, "x");
+  const double y = get_number(req, "y");
+  check_point_domain(x, y);
+  return {x, y};
+}
+
 /// The `points` op's coordinate arrays, validated: equal lengths, under
-/// the frame-budget cap.
+/// the frame-budget cap, every point in the domain (as `point_coords`).
 std::pair<const std::vector<double>*, const std::vector<double>*> points_coords(
     const WireObject& req) {
   const std::vector<double>& xs = get_numbers(req, "x");
@@ -96,6 +106,9 @@ std::pair<const std::vector<double>*, const std::vector<double>*> points_coords(
   if (xs.size() > kMaxPointsPerRequest) {
     throw WireError("wire: too many points (max " +
                     std::to_string(kMaxPointsPerRequest) + ")");
+  }
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    check_point_domain(xs[i], ys[i]);
   }
   return {&xs, &ys};
 }
@@ -242,8 +255,8 @@ std::string handle_parsed(Session& session, const WireObject& req,
   const std::string& op = get_string(req, "op");
   if (op == "point") {
     classify(obs::ReqType::kPoint);
-    const PointAnswer ans =
-        session.query_point(get_number(req, "x"), get_number(req, "y"));
+    const auto [x, y] = point_coords(req);
+    const PointAnswer ans = session.query_point(x, y);
     return point_response(session.digest_hex(), ans);
   }
   if (op == "points") {
@@ -346,8 +359,7 @@ std::string serve_one(ServeState& state, std::string_view body,
       const std::string& op = get_string(req, "op");
       if (op == "point") {
         *type_out = obs::ReqType::kPoint;
-        const double x = get_number(req, "x");
-        const double y = get_number(req, "y");
+        const auto [x, y] = point_coords(req);
         PointAnswer ans;
         std::string digest;
         state.batcher->evaluate(&x, &y, 1, &ans, digest);

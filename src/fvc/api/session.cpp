@@ -31,6 +31,13 @@ double torus_dy(double a, double b) {
 
 }  // namespace
 
+void check_point_domain(double x, double y) {
+  // Written so NaN fails too.
+  if (!(x >= 0.0 && x <= 1.0 && y >= 0.0 && y <= 1.0)) {
+    throw PointDomainError("point outside the [0, 1]^2 domain");
+  }
+}
+
 Session::Session(SessionConfig cfg)
     : cameras_(std::move(cfg.cameras)),
       theta_(cfg.theta),
@@ -98,23 +105,16 @@ TileKey Session::key_for(std::size_t row_begin, std::size_t row_end) const {
 }
 
 PointAnswer Session::query_point(double x, double y) {
-  const geom::Vec2 p{x, y};
   PointAnswer ans;
-  // The scalar oracles — exactly what a one-shot CLI evaluation runs.
-  const core::FullViewResult fv = core::full_view_covered(*net_, p, theta_);
-  ans.covered = fv.covered;
-  ans.max_gap = fv.max_gap;
-  ans.covering_count = fv.covering_count;
-  ans.necessary = core::meets_necessary_condition(*net_, p, theta_);
-  ans.sufficient = core::meets_sufficient_condition(*net_, p, theta_);
-  if (metrics_ != nullptr) {
-    metrics_->add("point_queries", 1.0);
-  }
+  query_points(&x, &y, 1, &ans);
   return ans;
 }
 
 void Session::query_points(const double* xs, const double* ys, std::size_t n,
                            PointAnswer* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    check_point_domain(xs[i], ys[i]);
+  }
   for (std::size_t i = 0; i < n; ++i) {
     const core::PointEval ev =
         engine_->eval_point({xs[i], ys[i]}, point_scratch_);

@@ -10,13 +10,18 @@
 /// Determinism contract (inherited, not new): every answer is
 /// bit-identical to the equivalent one-shot evaluation of the same
 /// deployment —
-///   * `query_point` runs the scalar oracles (`full_view_covered`,
-///     `meets_necessary_condition`, `meets_sufficient_condition`), the
-///     same calls a fresh CLI process makes;
+///   * `query_point` and `query_points` answer through
+///     `GridEvalEngine::eval_point`, which is bit-identical to the scalar
+///     oracles (`full_view_covered`, `meets_necessary_condition`,
+///     `meets_sufficient_condition`) a fresh CLI process runs — one path,
+///     so a point gets the same bytes alone or batched;
 ///   * `query_region` folds `GridEvalEngine::block_stats` tiles in row
 ///     order, replaying the serial reduction exactly (the contract of
 ///     sim/parallel_region.hpp), whether a tile came from the cache or
 ///     was just computed — so cache hits are unobservable in the answer.
+///
+/// Point queries live on [0, 1]^2: coordinates outside it (NaN included)
+/// are rejected with `PointDomainError` before any point is evaluated.
 ///
 /// What-if edits (add / move / remove a camera, change theta) are
 /// clone-on-edit: the camera list is copied, a new Network and engine are
@@ -34,20 +39,19 @@
 /// region query, where missing tiles are evaluated concurrently through
 /// `sim::parallel_for_blocked` into the SIMD kernel.
 ///
-/// The engine behind a session resolves its candidate index
-/// (candidate_index.hpp: flat / hier / stream) like any other engine, so
-/// `--index` / `FVC_FORCE_INDEX` pins apply to serve too, and the metrics
-/// node exported at construction carries the index name, resolution
-/// (`cells_target` / `cells_clamped`) and heap footprint (`index_bytes`).
-/// Tile evaluation uses per-worker scratches, so the stream index's
+/// The metrics node exported at construction carries the engine's index
+/// resolution (`cells_target` / `cells_clamped`) and heap footprint
+/// (`index_bytes`).  Tile evaluation uses per-worker scratches, so the
 /// row-slice cache works the same under serve as in batch scans; point
-/// queries go through the scalar oracles and never touch a row slice.
+/// queries gather their candidates off-lattice and never touch a row
+/// slice.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -83,8 +87,18 @@ struct SessionConfig {
   obs::ProgressFn progress;
 };
 
-/// Answer to a point query: the three predicates plus diagnostics, all
-/// from the scalar oracles.
+/// Thrown by the point queries for a coordinate outside the [0, 1]^2
+/// domain (NaN included) — a typed rejection of the input, distinct from
+/// an evaluation failure.
+class PointDomainError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
+/// \throws PointDomainError unless 0 <= x <= 1 and 0 <= y <= 1.
+void check_point_domain(double x, double y);
+
+/// Answer to a point query: the three predicates plus diagnostics.
 struct PointAnswer {
   bool covered = false;     ///< exact full-view coverage (Definition 1)
   bool necessary = false;   ///< Section III sector condition
@@ -127,17 +141,18 @@ class Session {
   /// telemetry plane and the CLI's end-of-run table.
   [[nodiscard]] const TileCacheStats& cache_stats() const { return cache_.stats(); }
 
-  /// Scalar-oracle point query at (x, y) in [0, 1]^2.
+  /// Point query at (x, y): `query_points` of one point.
+  /// \throws PointDomainError outside [0, 1]^2
   [[nodiscard]] PointAnswer query_point(double x, double y);
 
   /// Batched point queries: answer `n` points in one pass through the
   /// engine's fused kernel path (`GridEvalEngine::eval_point` — one
   /// candidate gather and one sort per point, SIMD classify, zero heap
-  /// allocations after warm-up) into `out[0..n)`.  Every answer is
-  /// bit-identical to `query_point` at the same coordinates; the scalar
-  /// oracle path above stays as the differential reference.  This is the
-  /// serve daemon's group-commit target: one call amortises dispatch
-  /// over a whole batch of concurrent clients' points.
+  /// allocations after warm-up) into `out[0..n)`.  This is the serve
+  /// daemon's group-commit target: one call amortises dispatch over a
+  /// whole batch of concurrent clients' points.
+  /// \throws PointDomainError when any point lies outside [0, 1]^2;
+  /// nothing is evaluated then.
   void query_points(const double* xs, const double* ys, std::size_t n,
                     PointAnswer* out);
 
@@ -187,8 +202,7 @@ class Session {
   TileCache cache_;
   /// Reused by `query_points` (the session is externally serialized, so
   /// one scratch suffices); engine rebuilds don't invalidate it — the
-  /// buffers are sized on use and the row-slice cache keys by engine
-  /// generation.
+  /// buffers are sized on use.
   core::GridEvalScratch point_scratch_;
 };
 

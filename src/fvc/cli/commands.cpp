@@ -24,7 +24,6 @@
 #include "fvc/barrier/barrier.hpp"
 #include "fvc/cli/checkpointing.hpp"
 #include "fvc/cli/command_registry.hpp"
-#include "fvc/core/candidate_index.hpp"
 #include "fvc/core/cpu_features.hpp"
 #include "fvc/core/full_view.hpp"
 #include "fvc/deploy/uniform.hpp"
@@ -849,29 +848,11 @@ int run_command(const Args& args, std::ostream& out) {
     }
     core::set_forced_kernel(*variant);
   }
-  // --index pins the candidate-index variant the same way (process-global
-  // pin, cleared on every exit path; every variant is valid on every host,
-  // so the name check here is the only validation needed).
-  struct IndexPinGuard {
-    ~IndexPinGuard() { core::set_forced_index(std::nullopt); }
-  } index_pin_guard;
-  if (args.has("index")) {
-    const std::string name = args.get_string("index", "");
-    const auto variant = core::index_from_name(name);
-    if (!variant.has_value()) {
-      throw std::invalid_argument("--index: unknown variant '" + name +
-                                  "' (expected flat, hier, or stream)");
-    }
-    core::set_forced_index(*variant);
-  }
   CommandContext ctx(args, out);
   ctx.metrics().set_label("tool", "fvc_sim");
   ctx.metrics().set_label("command", cmd);
   if (args.has("kernel")) {
     ctx.metrics().set_label("kernel", args.get_string("kernel", ""));
-  }
-  if (args.has("index")) {
-    ctx.metrics().set_label("index", args.get_string("index", ""));
   }
   // Shard identity travels in the metrics labels so a merged document
   // (RunMetrics::merge keeps the merger's labels, adopts shard-only ones)
@@ -945,9 +926,6 @@ int run_command(const Args& args, std::ostream& out) {
     meta.labels["command"] = cmd;
     if (args.has("kernel")) {
       meta.labels["kernel"] = args.get_string("kernel", "");
-    }
-    if (args.has("index")) {
-      meta.labels["index"] = args.get_string("index", "");
     }
     if (cancelled) {
       meta.labels["cancelled"] = "1";

@@ -4,12 +4,12 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <string>
 
 #include "fvc/core/grid_eval_kernel.hpp"
+#include "fvc/core/spatial_index.hpp"
 #include "fvc/geometry/angle.hpp"
 #include "fvc/geometry/sector.hpp"
 #include "fvc/obs/run_metrics.hpp"
@@ -19,14 +19,17 @@ namespace fvc::core {
 
 namespace {
 
-/// Absolute ceiling on index cells per side: keeps the fine-cell bucket
-/// key (cells^2) within the 32-bit counting-sort keys.  Far above any
-/// radius the sizing rule meets in practice (it binds only below
-/// max_radius ~ 5e-5); the per-grid 4 * side cap binds first on real
-/// configurations.
+/// Radius-derived sizing rule: the cell side targets
+/// max_radius / kCellsPerRadius, so a point's x window spans a handful of
+/// cells and its strip band a handful of strips.
+constexpr double kCellsPerRadius = 3.0;
+
+/// Absolute ceiling on index cells per side.  Far above any radius the
+/// sizing rule meets in practice (it binds only below max_radius ~ 5e-5);
+/// the per-grid 4 * side cap binds first on real configurations.
 constexpr std::size_t kAbsoluteMaxCells = 65535;
 
-/// Unique id per engine instance; keys the per-scratch stream row slices
+/// Unique id per engine instance; keys the per-scratch row slices
 /// so a scratch can be handed from one engine to another (rebuilds, trial
 /// loops) without serving a stale slice.  Starts at 1: a default
 /// RowSlice's generation 0 never matches.
@@ -166,8 +169,6 @@ GridEvalEngine::GridEvalEngine(const Network& net, const DenseGrid& grid, double
   kernel_ = resolve_kernel();
   classify_ = classify_for(kernel_);
   note_kernel_dispatch(kernel_);
-  index_ = resolve_index();
-  note_index_dispatch(index_);
   generation_ = next_generation();
   necessary_arcs_ = geom::sector_partition(2.0 * theta);
   sufficient_arcs_ = geom::sector_partition(theta);
@@ -175,17 +176,7 @@ GridEvalEngine::GridEvalEngine(const Network& net, const DenseGrid& grid, double
                               "cameras", net.size());
   const std::uint64_t t0 = obs::monotonic_ns();
   compute_cells();
-  switch (index_) {
-    case IndexVariant::kFlat:
-      build_flat();
-      break;
-    case IndexVariant::kHier:
-      build_hier();
-      break;
-    case IndexVariant::kStream:
-      build_stream();
-      break;
-  }
+  build_index();
   build_ns_ = obs::monotonic_ns() - t0;
 }
 
@@ -195,52 +186,17 @@ void GridEvalEngine::CandSoA::resize(std::size_t n) {
 }
 
 GridEvalEngine::BinOccupancy GridEvalEngine::occupancy() const {
+  // Bins are the y strips: the build-time structure (row slices are
+  // per-scratch and transient).
   BinOccupancy occ;
-  auto tally = [&occ](std::size_t count) {
+  occ.cells = cells_;
+  occ.entries = strip_entries_.size();
+  for (std::size_t s = 0; s < cells_; ++s) {
+    const std::size_t count = strip_offsets_[s + 1] - strip_offsets_[s];
     if (count == 0) {
       ++occ.empty_cells;
     }
     occ.max_per_cell = std::max(occ.max_per_cell, count);
-  };
-  switch (index_) {
-    case IndexVariant::kFlat: {
-      occ.cells = cells_ * cells_;
-      occ.entries = cell_entries_.size();
-      for (std::size_t b = 0; b < occ.cells; ++b) {
-        tally(cell_offsets_[b + 1] - cell_offsets_[b]);
-      }
-      break;
-    }
-    case IndexVariant::kHier: {
-      // Bins are the index's leaves: whole tiles where unsubdivided, the
-      // tile-local fine cells where subdivided.
-      occ.entries = cell_entries_.size();
-      constexpr std::size_t kLocals = kHierSubdiv * kHierSubdiv;
-      for (std::size_t t = 0; t < tiles_ * tiles_; ++t) {
-        if (tile_slot_[t] == 0) {
-          ++occ.cells;
-          tally(tile_offsets_[t + 1] - tile_offsets_[t]);
-        } else {
-          occ.cells += kLocals;
-          const std::uint32_t* fo =
-              fine_offsets_.data() + (tile_slot_[t] - 1) * (kLocals + 1);
-          for (std::size_t i = 0; i < kLocals; ++i) {
-            tally(fo[i + 1] - fo[i]);
-          }
-        }
-      }
-      break;
-    }
-    case IndexVariant::kStream: {
-      // Bins are the y strips: the build-time structure (row slices are
-      // per-scratch and transient).
-      occ.cells = cells_;
-      occ.entries = strip_entries_.size();
-      for (std::size_t s = 0; s < cells_; ++s) {
-        tally(strip_offsets_[s + 1] - strip_offsets_[s]);
-      }
-      break;
-    }
   }
   occ.mean_per_cell = occ.cells == 0
                           ? 0.0
@@ -251,10 +207,7 @@ GridEvalEngine::BinOccupancy GridEvalEngine::occupancy() const {
 
 std::size_t GridEvalEngine::index_bytes() const {
   const std::size_t u32 = sizeof(std::uint32_t);
-  return cell_offsets_.size() * u32 + cell_entries_.size() * u32 +
-         soa_.data.size() * sizeof(double) + tile_offsets_.size() * u32 +
-         tile_slot_.size() * u32 + fine_offsets_.size() * u32 +
-         strip_offsets_.size() * u32 + strip_entries_.size() * u32 +
+  return (strip_offsets_.size() + strip_entries_.size() + strip_xcells_.size()) * u32 +
          cam_soa_.data.size() * sizeof(double);
 }
 
@@ -276,7 +229,6 @@ void GridEvalEngine::describe(obs::MetricsNode& node) const {
   node.add_elapsed_ns(build_ns_);
   node.child("build").add_elapsed_ns(build_ns_);
   describe_kernel_dispatch(kernel_, node);
-  describe_index_dispatch(index_, node);
 }
 
 void describe_kernel_dispatch(KernelVariant active, obs::MetricsNode& node) {
@@ -290,38 +242,20 @@ void describe_kernel_dispatch(KernelVariant active, obs::MetricsNode& node) {
   }
 }
 
-void describe_index_dispatch(IndexVariant active, obs::MetricsNode& node) {
-  node.set(std::string("index_") += index_name(active), 1.0);
-  obs::MetricsNode& disp = node.child("index_dispatch");
-  for (std::size_t i = 0; i < kIndexVariantCount; ++i) {
-    const auto v = static_cast<IndexVariant>(i);
-    disp.set(std::string("engines_") += index_name(v),
-             static_cast<double>(index_dispatch_count(v)));
-  }
-}
-
 void GridEvalEngine::compute_cells() {
   if (net_->cameras().size() > static_cast<std::size_t>(~std::uint32_t{0})) {
     throw std::invalid_argument("GridEvalEngine: too many cameras");
   }
-  // Cell sizing: correctness is set-based (every index answer is a superset
-  // of the covering cameras), so the cell count only trades build cost
-  // against candidate-list tightness.  Cells of about a third of the
+  // Cell sizing: correctness is set-based (every candidate span is a
+  // superset of the covering cameras), so the cell count only trades build
+  // cost against candidate-list tightness.  Cells of about a third of the
   // sensing radius keep the per-point candidate list within ~1.5x of the
   // true in-radius count; the caps bound construction cost on tiny grids
-  // and degenerate radii.  FVC_INDEX_CELL_CAP is a diagnostic override
-  // (benchmarks use it to reproduce the historical 256-cell clamp).
+  // and degenerate radii.
   const double r = std::max(net_->max_radius(), kMinSizingRadius);
   cells_target_ = static_cast<std::size_t>(std::ceil(kCellsPerRadius / r));
-  std::size_t cap = std::min<std::size_t>(
+  const std::size_t cap = std::min<std::size_t>(
       kAbsoluteMaxCells, 4 * std::max<std::size_t>(1, grid_.side()));
-  if (const char* env = std::getenv("FVC_INDEX_CELL_CAP");
-      env != nullptr && env[0] != '\0') {
-    const unsigned long v = std::strtoul(env, nullptr, 10);
-    if (v > 0) {
-      cap = std::min<std::size_t>(cap, v);
-    }
-  }
   cells_ = std::clamp<std::size_t>(cells_target_, 1, cap);
   if (net_->cameras().empty()) {
     cells_ = 1;
@@ -329,300 +263,114 @@ void GridEvalEngine::compute_cells() {
   cells_clamped_ = cells_ < cells_target_;
 }
 
-void GridEvalEngine::enumerate_cell_pairs(std::vector<CellPair>& pairs) const {
-  const std::span<const Camera> cams = net_->cameras();
-  const double h = 1.0 / static_cast<double>(cells_);
-  const auto c = static_cast<std::ptrdiff_t>(cells_);
-
-  // Enumerate, for each camera, the cells whose rectangle is within its
-  // sensing radius.  Positions are pre-wrapped into [0,1) (torus) or lie in
-  // [0,1] (plane), so the unwrapped window [pos - r, pos + r] is exact: on
-  // the torus a cell at axis distance <= r < 1/2 appears in the window with
-  // its short-way displacement, and windows spanning the whole circle are
-  // clamped to one copy of each cell.
-  pairs.clear();
-  // Reserve the worst-case window area so the push_back loop never
-  // reallocates (regrowth copies megabytes mid-enumeration).
-  const double rmax = std::max(net_->max_radius(), kMinSizingRadius);
-  const auto span_bound = std::min<std::size_t>(
-      cells_,
-      static_cast<std::size_t>(2.0 * rmax * static_cast<double>(cells_)) + 2);
-  pairs.reserve(cams.size() * span_bound * span_bound);
-  // Everything that depends on one axis only — wrapped index, squared
-  // rectangle distance — is hoisted out of the column x row product (the
-  // per-cell modulo by a runtime divisor otherwise dominates enumeration).
-  // Heap scratch sized to the actual resolution: the sizing rule is no
-  // longer clamped to a fixed array bound (y_span <= c <= cells_).
-  std::vector<std::uint32_t> by_arr(cells_);
-  std::vector<double> dy2_arr(cells_);
-  auto for_each_cell = [&](std::size_t i, const auto& emit) {
-    const Camera& cam = cams[i];
-    const double cr = cam.radius;
-    // In plane mode there is no wraparound coverage, so the window is
-    // clamped to the unit square; on the torus a window spanning the whole
-    // axis is clamped to one copy of each cell.
-    auto axis_range = [&](double pos, std::ptrdiff_t& lo, std::ptrdiff_t& span) {
-      lo = static_cast<std::ptrdiff_t>(std::floor((pos - cr) / h));
-      auto hi = static_cast<std::ptrdiff_t>(std::floor((pos + cr) / h));
-      if (mode_ == geom::SpaceMode::kPlane) {
-        lo = std::clamp<std::ptrdiff_t>(lo, 0, c - 1);
-        hi = std::clamp<std::ptrdiff_t>(hi, 0, c - 1);
-        span = hi - lo + 1;
-      } else {
-        span = std::min<std::ptrdiff_t>(hi - lo + 1, c);
-      }
-    };
-    std::ptrdiff_t x_lo = 0, x_span = 0, y_lo = 0, y_span = 0;
-    axis_range(cam.position.x, x_lo, x_span);
-    axis_range(cam.position.y, y_lo, y_span);
-    // The exact rectangle-distance prune is valid whenever the unwrapped
-    // cell coordinates are the short-way displacement: always in plane
-    // mode, and on the torus when neither axis window wraps fully.
-    const bool prune = mode_ == geom::SpaceMode::kPlane || (x_span < c && y_span < c);
-    const double r2 = cr * cr;
-    for (std::ptrdiff_t iy = 0; iy < y_span; ++iy) {
-      const std::ptrdiff_t cy = y_lo + iy;
-      const double cell_y_lo = static_cast<double>(cy) * h;
-      const double dy = std::max({0.0, cell_y_lo - cam.position.y,
-                                  cam.position.y - (cell_y_lo + h)});
-      dy2_arr[static_cast<std::size_t>(iy)] = dy * dy;
-      by_arr[static_cast<std::size_t>(iy)] =
-          static_cast<std::uint32_t>(((cy % c) + c) % c);
-    }
-    for (std::ptrdiff_t ix = 0; ix < x_span; ++ix) {
-      const std::ptrdiff_t cx = x_lo + ix;
-      const double cell_x_lo = static_cast<double>(cx) * h;
-      const double dx = std::max({0.0, cell_x_lo - cam.position.x,
-                                  cam.position.x - (cell_x_lo + h)});
-      const double dx2 = dx * dx;
-      const std::size_t bx = static_cast<std::size_t>(((cx % c) + c) % c);
-      const std::size_t row_base = bx * cells_;
-      for (std::ptrdiff_t iy = 0; iy < y_span; ++iy) {
-        if (prune && dx2 + dy2_arr[static_cast<std::size_t>(iy)] > r2) {
-          continue;
-        }
-        emit(row_base + by_arr[static_cast<std::size_t>(iy)]);
-      }
-    }
-  };
-
-  for (std::size_t i = 0; i < cams.size(); ++i) {
-    for_each_cell(i, [&](std::size_t bucket) {
-      pairs.push_back(
-          {static_cast<std::uint32_t>(bucket), static_cast<std::uint32_t>(i)});
-    });
-  }
-  if (pairs.size() > static_cast<std::size_t>(~std::uint32_t{0})) {
-    throw std::invalid_argument("GridEvalEngine: candidate index overflow");
-  }
+std::size_t GridEvalEngine::cell_of(double v) const {
+  return std::min<std::size_t>(
+      static_cast<std::size_t>(std::max(v, 0.0) * static_cast<double>(cells_)),
+      cells_ - 1);
 }
 
-void GridEvalEngine::fill_soa(CandSoA& soa, std::span<const std::uint32_t> ids) const {
-  const std::span<const Camera> cams = net_->cameras();
-  // Precompute one fused-kernel record per camera, not per entry — a
-  // camera typically appears in tens of cells, and the trig calls dominate
-  // the record.
-  struct CamRec {
-    double sx, sy, r2, cu, su, q, omni;
-  };
-  // The omni marker is an all-bits-set double so the lane kernel can OR it
-  // straight into its comparison masks; it is never used arithmetically.
-  const double omni_mask = std::bit_cast<double>(~std::uint64_t{0});
-  std::vector<CamRec> cam_recs(cams.size());
-  for (std::size_t i = 0; i < cams.size(); ++i) {
-    const Camera& cam = cams[i];
-    CamRec& rec = cam_recs[i];
-    rec.sx = cam.position.x;
-    rec.sy = cam.position.y;
-    rec.r2 = cam.radius * cam.radius;
-    rec.cu = std::cos(cam.orientation);
-    rec.su = std::sin(cam.orientation);
-    const double chs = std::cos(0.5 * cam.fov);
-    rec.q = chs * std::abs(chs);
-    rec.omni = 0.5 * cam.fov >= geom::kPi ? omni_mask : 0.0;
-  }
-  // Sequential writes to seven streams beat one scatter of 56-byte records
-  // by a wide margin.
-  soa.resize(ids.size());
-  double* const f_sx = soa.mut(0);
-  double* const f_sy = soa.mut(1);
-  double* const f_r2 = soa.mut(2);
-  double* const f_cu = soa.mut(3);
-  double* const f_su = soa.mut(4);
-  double* const f_q = soa.mut(5);
-  double* const f_om = soa.mut(6);
-  for (std::size_t w = 0; w < ids.size(); ++w) {
-    const CamRec& rec = cam_recs[ids[w]];
-    f_sx[w] = rec.sx;
-    f_sy[w] = rec.sy;
-    f_r2[w] = rec.r2;
-    f_cu[w] = rec.cu;
-    f_su[w] = rec.su;
-    f_q[w] = rec.q;
-    f_om[w] = rec.omni;
-  }
-}
-
-void GridEvalEngine::build_flat() {
-  std::vector<CellPair> pairs;
-  enumerate_cell_pairs(pairs);
-  const std::size_t buckets = cells_ * cells_;
-  // Counting-sort the pairs by cell so each cell's entries are one dense
-  // range the vectorized kernel consumes in whole lane groups.  Only the
-  // 4-byte camera ids are scattered; the SoA fields are then filled in a
-  // separate sequential pass.
-  cell_offsets_.assign(buckets + 1, 0);
-  for (const CellPair& pr : pairs) {
-    ++cell_offsets_[pr.key + 1];
-  }
-  for (std::size_t b = 0; b < buckets; ++b) {
-    cell_offsets_[b + 1] += cell_offsets_[b];
-  }
-  cell_entries_.resize(pairs.size());
-  std::vector<std::uint32_t> cursor(cell_offsets_.begin(), cell_offsets_.end() - 1);
-  for (const CellPair& pr : pairs) {
-    cell_entries_[cursor[pr.key]++] = pr.cam;
-  }
-  fill_soa(soa_, cell_entries_);
-}
-
-void GridEvalEngine::build_hier() {
-  std::vector<CellPair> pairs;
-  enumerate_cell_pairs(pairs);
-  tiles_ = (cells_ + kHierSubdiv - 1) / kHierSubdiv;
-  const std::size_t tcount = tiles_ * tiles_;
-  constexpr std::size_t kLocals = kHierSubdiv * kHierSubdiv;
-  // The fine-cell windows are the flat index's, but offsets exist only at
-  // tile granularity plus a pooled (sub^2+1)-slot table per *subdivided*
-  // tile — empty regions cost one offset per tile instead of kLocals, so
-  // memory tracks the occupied area on clustered deployments.
-  auto tile_of = [this](std::uint32_t key, std::size_t& local) {
-    const std::size_t bx = key / cells_;
-    const std::size_t by = key % cells_;
-    local = (bx % kHierSubdiv) * kHierSubdiv + (by % kHierSubdiv);
-    return (bx / kHierSubdiv) * tiles_ + (by / kHierSubdiv);
-  };
-  std::vector<std::uint32_t> raw_offsets(tcount + 1, 0);
-  std::size_t scratch_local = 0;
-  for (const CellPair& pr : pairs) {
-    ++raw_offsets[tile_of(pr.key, scratch_local) + 1];
-  }
-  for (std::size_t t = 0; t < tcount; ++t) {
-    raw_offsets[t + 1] += raw_offsets[t];
-  }
-  // Subdivide only tiles dense enough to repay 64 fine spans (measured on
-  // the replicated pair count — the cost a whole-tile span would hand the
-  // kernel).
-  tile_slot_.assign(tcount, 0);
-  std::uint32_t nsub = 0;
-  for (std::size_t t = 0; t < tcount; ++t) {
-    if (raw_offsets[t + 1] - raw_offsets[t] > kHierSubdivideThreshold) {
-      tile_slot_[t] = ++nsub;
-    }
-  }
-  // Scatter entries by tile, remembering each entry's tile-local cell.
-  std::vector<std::uint32_t> raw_entries(pairs.size());
-  std::vector<std::uint32_t> local(pairs.size());
-  std::vector<std::uint32_t> cursor(raw_offsets.begin(), raw_offsets.end() - 1);
-  for (const CellPair& pr : pairs) {
-    std::size_t li = 0;
-    const std::size_t t = tile_of(pr.key, li);
-    const std::uint32_t w = cursor[t]++;
-    raw_entries[w] = pr.cam;
-    local[w] = static_cast<std::uint32_t>(li);
-  }
-  // Compact per tile.  A subdivided tile keeps every (cell, camera) pair,
-  // counting-sorted by local cell (stable, so within a fine cell entries
-  // keep enumeration order like the flat index) with absolute pooled
-  // offsets.  An unsubdivided tile's WHOLE span goes to the kernel, so a
-  // camera overlapping several fine cells of the same tile must appear
-  // once, not once per cell — its range is deduplicated by camera id
-  // (candidate order is free: directions are sorted downstream).
-  cell_entries_.clear();
-  cell_entries_.reserve(pairs.size());
-  tile_offsets_.assign(tcount + 1, 0);
-  fine_offsets_.assign(static_cast<std::size_t>(nsub) * (kLocals + 1), 0);
-  std::vector<std::uint32_t> tmp_ids;
-  for (std::size_t t = 0; t < tcount; ++t) {
-    const std::uint32_t lo = raw_offsets[t];
-    const std::uint32_t hi = raw_offsets[t + 1];
-    const auto base = static_cast<std::uint32_t>(cell_entries_.size());
-    tile_offsets_[t] = base;
-    if (tile_slot_[t] == 0) {
-      tmp_ids.assign(raw_entries.begin() + lo, raw_entries.begin() + hi);
-      std::sort(tmp_ids.begin(), tmp_ids.end());
-      tmp_ids.erase(std::unique(tmp_ids.begin(), tmp_ids.end()), tmp_ids.end());
-      cell_entries_.insert(cell_entries_.end(), tmp_ids.begin(), tmp_ids.end());
-    } else {
-      std::uint32_t* fo =
-          fine_offsets_.data() + (tile_slot_[t] - 1) * (kLocals + 1);
-      std::uint32_t counts[kLocals + 1] = {0};
-      for (std::uint32_t w = lo; w < hi; ++w) {
-        ++counts[local[w] + 1];
-      }
-      for (std::size_t i = 0; i < kLocals; ++i) {
-        counts[i + 1] += counts[i];
-      }
-      for (std::size_t i = 0; i <= kLocals; ++i) {
-        fo[i] = base + counts[i];
-      }
-      cell_entries_.resize(base + (hi - lo));
-      for (std::uint32_t w = lo; w < hi; ++w) {
-        cell_entries_[base + counts[local[w]]++] = raw_entries[w];
-      }
-    }
-  }
-  tile_offsets_[tcount] = static_cast<std::uint32_t>(cell_entries_.size());
-  fill_soa(soa_, cell_entries_);
-}
-
-void GridEvalEngine::build_stream() {
+void GridEvalEngine::build_index() {
   const std::span<const Camera> cams = net_->cameras();
   const std::size_t n = cams.size();
   max_r_ = net_->max_radius();
-  const auto sd = static_cast<double>(cells_);
-  // Cameras are binned ONCE by position — no replication, so the build is
-  // O(n) and entry count equals the camera count.  Candidate windows are
-  // materialised per grid row into the scratch's slice (build_row_slice).
-  strip_offsets_.assign(cells_ + 1, 0);
-  strip_entries_.resize(n);
+  // Cameras are binned ONCE by position — no replication, so entry count
+  // equals the camera count.  Two stable counting passes (O(n + cells),
+  // no comparison sort): by x cell, then by y strip, which leaves each
+  // strip's entries ordered by x cell.
+  std::vector<std::uint32_t> xcell(n);
   std::vector<std::uint32_t> strip(n);
+  std::vector<std::uint32_t> offsets(cells_ + 1, 0);
+  strip_offsets_.assign(cells_ + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    strip[i] = static_cast<std::uint32_t>(std::min<std::size_t>(
-        static_cast<std::size_t>(std::max(cams[i].position.y, 0.0) * sd),
-        cells_ - 1));
+    xcell[i] = static_cast<std::uint32_t>(cell_of(cams[i].position.x));
+    strip[i] = static_cast<std::uint32_t>(cell_of(cams[i].position.y));
+    ++offsets[xcell[i] + 1];
     ++strip_offsets_[strip[i] + 1];
   }
-  for (std::size_t s = 0; s < cells_; ++s) {
-    strip_offsets_[s + 1] += strip_offsets_[s];
+  for (std::size_t c = 0; c < cells_; ++c) {
+    offsets[c + 1] += offsets[c];
+    strip_offsets_[c + 1] += strip_offsets_[c];
   }
-  std::vector<std::uint32_t> cursor(strip_offsets_.begin(), strip_offsets_.end() - 1);
+  std::vector<std::uint32_t> by_x(n);
   for (std::size_t i = 0; i < n; ++i) {
-    strip_entries_[cursor[strip[i]]++] = static_cast<std::uint32_t>(i);
+    by_x[offsets[xcell[i]]++] = static_cast<std::uint32_t>(i);
   }
-  std::vector<std::uint32_t> identity(n);
+  strip_entries_.resize(n);
+  strip_xcells_.resize(n);
+  offsets.assign(strip_offsets_.begin(), strip_offsets_.end());
+  for (const std::uint32_t cam : by_x) {
+    const std::uint32_t e = offsets[strip[cam]]++;
+    strip_entries_[e] = cam;
+    strip_xcells_[e] = xcell[cam];
+  }
+  // One fused-kernel record per camera; sequential writes to seven
+  // streams.  The omni marker is an all-bits-set double so the lane kernel
+  // can OR it straight into its comparison masks; it is never used
+  // arithmetically.
+  const double omni_mask = std::bit_cast<double>(~std::uint64_t{0});
+  cam_soa_.resize(n);
+  double* const f_sx = cam_soa_.mut(0);
+  double* const f_sy = cam_soa_.mut(1);
+  double* const f_r2 = cam_soa_.mut(2);
+  double* const f_cu = cam_soa_.mut(3);
+  double* const f_su = cam_soa_.mut(4);
+  double* const f_q = cam_soa_.mut(5);
+  double* const f_om = cam_soa_.mut(6);
   for (std::size_t i = 0; i < n; ++i) {
-    identity[i] = static_cast<std::uint32_t>(i);
+    const Camera& cam = cams[i];
+    f_sx[i] = cam.position.x;
+    f_sy[i] = cam.position.y;
+    f_r2[i] = cam.radius * cam.radius;
+    f_cu[i] = std::cos(cam.orientation);
+    f_su[i] = std::sin(cam.orientation);
+    const double chs = std::cos(0.5 * cam.fov);
+    f_q[i] = chs * std::abs(chs);
+    f_om[i] = 0.5 * cam.fov >= geom::kPi ? omni_mask : 0.0;
   }
-  fill_soa(cam_soa_, identity);
-  // Slice window geometry.  The per-point x window is the real interval
+  // Window geometry.  The per-point x window is the real interval
   // [px - R, px + R] padded by one cell per side; the pad (>= 1/cells_)
   // swallows every floor-rounding discrepancy between the kernel's wrapped
   // fl displacement and the real-valued window, so any camera the kernel
   // can accept lies inside the window.  On the torus, `ghost_` extra cell
-  // columns per slice side hold a second image of near-seam cameras; a
+  // columns per row-slice side hold a second image of near-seam cameras; a
   // window then never contains both images of one camera (they are exactly
   // cells_ ext-cells apart, and the window is at most 2*ghost_ + 1 <
   // cells_ cells wide) — unless the band is too wide, in which case
-  // `stream_whole_` degrades every window to the whole slice (still
+  // `whole_axis_` degrades every slice window to the whole slice (still
   // duplicate-free: one image per camera).
+  const auto sd = static_cast<double>(cells_);
   ghost_ = static_cast<std::ptrdiff_t>(std::floor(max_r_ * sd)) + 2;
-  stream_whole_ = 2.0 * max_r_ + 2.0 / sd >= 1.0 ||
-                  static_cast<std::ptrdiff_t>(cells_) <= 2 * ghost_ + 2;
+  whole_axis_ = 2.0 * max_r_ + 2.0 / sd >= 1.0 ||
+                static_cast<std::ptrdiff_t>(cells_) <= 2 * ghost_ + 2;
   if (mode_ == geom::SpaceMode::kPlane) {
     // No wraparound coverage: windows clamp to [0, cells_) instead.
     ghost_ = 0;
-    stream_whole_ = false;
+    whole_axis_ = false;
+  }
+}
+
+void GridEvalEngine::strip_band(double y, std::ptrdiff_t& lo,
+                                std::ptrdiff_t& span) const {
+  const auto s_count = static_cast<std::ptrdiff_t>(cells_);
+  const auto sd = static_cast<double>(cells_);
+  lo = static_cast<std::ptrdiff_t>(std::floor((y - max_r_) * sd)) - 1;
+  std::ptrdiff_t hi = static_cast<std::ptrdiff_t>(std::floor((y + max_r_) * sd)) + 1;
+  if (mode_ == geom::SpaceMode::kTorus) {
+    span = std::min(hi - lo + 1, s_count);
+  } else {
+    lo = std::clamp<std::ptrdiff_t>(lo, 0, s_count - 1);
+    hi = std::clamp<std::ptrdiff_t>(hi, 0, s_count - 1);
+    span = hi - lo + 1;
+  }
+}
+
+void GridEvalEngine::x_window(double x, std::ptrdiff_t& lo, std::ptrdiff_t& hi) const {
+  const auto sd = static_cast<double>(cells_);
+  lo = static_cast<std::ptrdiff_t>(std::floor((x - max_r_) * sd)) - 1;
+  hi = static_cast<std::ptrdiff_t>(std::floor((x + max_r_) * sd)) + 1;
+  if (mode_ == geom::SpaceMode::kPlane) {
+    lo = std::clamp<std::ptrdiff_t>(lo, 0, static_cast<std::ptrdiff_t>(cells_) - 1);
+    hi = std::clamp<std::ptrdiff_t>(hi, 0, static_cast<std::ptrdiff_t>(cells_) - 1);
   }
 }
 
@@ -630,22 +378,12 @@ void GridEvalEngine::build_row_slice(std::size_t row, GridEvalScratch& scratch) 
   GridEvalScratch::RowSlice& sl = scratch.slice;
   const double py = grid_.point(row, 0).y;
   const auto s_count = static_cast<std::ptrdiff_t>(cells_);
-  const auto sd = static_cast<double>(cells_);
   const bool torus = mode_ == geom::SpaceMode::kTorus;
   // 1. Walk the strips whose cameras could be within max_r_ of the row's y
-  //    (padded one strip per side; the per-camera prune decides exactly).
-  std::ptrdiff_t s_lo =
-      static_cast<std::ptrdiff_t>(std::floor((py - max_r_) * sd)) - 1;
-  std::ptrdiff_t s_hi =
-      static_cast<std::ptrdiff_t>(std::floor((py + max_r_) * sd)) + 1;
-  std::ptrdiff_t s_span;
-  if (torus) {
-    s_span = std::min(s_hi - s_lo + 1, s_count);
-  } else {
-    s_lo = std::clamp<std::ptrdiff_t>(s_lo, 0, s_count - 1);
-    s_hi = std::clamp<std::ptrdiff_t>(s_hi, 0, s_count - 1);
-    s_span = s_hi - s_lo + 1;
-  }
+  //    (the per-camera prune decides exactly).
+  std::ptrdiff_t s_lo = 0;
+  std::ptrdiff_t s_span = 0;
+  strip_band(py, s_lo, s_span);
   std::vector<std::uint32_t>& surv = sl.survivors;
   surv.clear();
   const double* const cam_sy = cam_soa_.sy();
@@ -672,27 +410,24 @@ void GridEvalEngine::build_row_slice(std::size_t row, GridEvalScratch& scratch) 
       if (dy * dy > cam_r2[cam]) {
         continue;
       }
-      surv.push_back(cam);
+      surv.push_back(e);
     }
   }
   // 2. Bucket survivors by extended x cell (main image + at most one ghost
   //    image per seam side) so every point window is one contiguous,
   //    duplicate-free range.
-  const std::ptrdiff_t g = (torus && !stream_whole_) ? ghost_ : 0;
-  const std::size_t ecells =
-      stream_whole_ ? 1 : cells_ + static_cast<std::size_t>(2 * g);
+  const std::ptrdiff_t g = (torus && !whole_axis_) ? ghost_ : 0;
+  const std::size_t ecells = whole_axis_ ? 1 : cells_ + static_cast<std::size_t>(2 * g);
   sl.offsets.assign(ecells + 1, 0);
-  const double* const cam_sx = cam_soa_.sx();
-  auto xcell_of = [&](std::uint32_t cam) {
-    return static_cast<std::ptrdiff_t>(std::min<std::size_t>(
-        static_cast<std::size_t>(std::max(cam_sx[cam], 0.0) * sd), cells_ - 1));
-  };
-  if (stream_whole_) {
+  if (whole_axis_) {
     sl.offsets[1] = static_cast<std::uint32_t>(surv.size());
-    sl.ids.assign(surv.begin(), surv.end());
+    sl.ids.resize(surv.size());
+    for (std::size_t w = 0; w < surv.size(); ++w) {
+      sl.ids[w] = strip_entries_[surv[w]];
+    }
   } else {
-    for (const std::uint32_t cam : surv) {
-      const std::ptrdiff_t cx = xcell_of(cam);
+    for (const std::uint32_t e : surv) {
+      const auto cx = static_cast<std::ptrdiff_t>(strip_xcells_[e]);
       ++sl.offsets[static_cast<std::size_t>(cx + g) + 1];
       if (g != 0 && cx < g) {
         ++sl.offsets[static_cast<std::size_t>(cx + g + s_count) + 1];
@@ -706,8 +441,9 @@ void GridEvalEngine::build_row_slice(std::size_t row, GridEvalScratch& scratch) 
     }
     sl.ids.resize(sl.offsets[ecells]);
     sl.cursors.assign(sl.offsets.begin(), sl.offsets.end() - 1);
-    for (const std::uint32_t cam : surv) {
-      const std::ptrdiff_t cx = xcell_of(cam);
+    for (const std::uint32_t e : surv) {
+      const auto cx = static_cast<std::ptrdiff_t>(strip_xcells_[e]);
+      const std::uint32_t cam = strip_entries_[e];
       sl.ids[sl.cursors[static_cast<std::size_t>(cx + g)]++] = cam;
       if (g != 0 && cx < g) {
         sl.ids[sl.cursors[static_cast<std::size_t>(cx + g + s_count)]++] = cam;
@@ -733,148 +469,105 @@ void GridEvalEngine::build_row_slice(std::size_t row, GridEvalScratch& scratch) 
   sl.row = row;
 }
 
-GridEvalEngine::CandView GridEvalEngine::flat_view(const geom::Vec2& p) const {
-  const std::size_t b = point_cell(p);
-  const std::uint32_t lo = cell_offsets_[b];
-  return {soa_.data.data() + lo, soa_.stride, cell_entries_.data() + lo,
-          cell_offsets_[b + 1] - lo};
-}
-
-GridEvalEngine::CandView GridEvalEngine::hier_view(const geom::Vec2& p) const {
-  const auto c = static_cast<double>(cells_);
-  const auto fx = std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(p.x, 0.0) * c), cells_ - 1);
-  const auto fy = std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(p.y, 0.0) * c), cells_ - 1);
-  const std::size_t t = (fx / kHierSubdiv) * tiles_ + (fy / kHierSubdiv);
-  std::uint32_t lo = 0;
-  std::uint32_t hi = 0;
-  if (tile_slot_[t] == 0) {
-    lo = tile_offsets_[t];
-    hi = tile_offsets_[t + 1];
-  } else {
-    constexpr std::size_t kLocals = kHierSubdiv * kHierSubdiv;
-    const std::size_t li = (fx % kHierSubdiv) * kHierSubdiv + (fy % kHierSubdiv);
-    const std::uint32_t* fo =
-        fine_offsets_.data() + (tile_slot_[t] - 1) * (kLocals + 1);
-    lo = fo[li];
-    hi = fo[li + 1];
-  }
-  return {soa_.data.data() + lo, soa_.stride, cell_entries_.data() + lo, hi - lo};
-}
-
-GridEvalEngine::CandView GridEvalEngine::stream_view(std::size_t row,
-                                                     const geom::Vec2& p,
-                                                     GridEvalScratch& scratch) const {
+GridEvalEngine::CandView GridEvalEngine::row_view(std::size_t row, const geom::Vec2& p,
+                                                  GridEvalScratch& scratch) const {
   GridEvalScratch::RowSlice& sl = scratch.slice;
   if (sl.engine_gen != generation_ || sl.row != row) {
     build_row_slice(row, scratch);
   }
   std::size_t lo = 0;
-  std::size_t hi = 0;
-  if (stream_whole_) {
-    hi = sl.ids.size();
-  } else {
-    const auto sd = static_cast<double>(cells_);
-    std::ptrdiff_t xlo =
-        static_cast<std::ptrdiff_t>(std::floor((p.x - max_r_) * sd)) - 1;
-    std::ptrdiff_t xhi =
-        static_cast<std::ptrdiff_t>(std::floor((p.x + max_r_) * sd)) + 1;
-    if (mode_ == geom::SpaceMode::kPlane) {
-      xlo = std::clamp<std::ptrdiff_t>(xlo, 0, static_cast<std::ptrdiff_t>(cells_) - 1);
-      xhi = std::clamp<std::ptrdiff_t>(xhi, 0, static_cast<std::ptrdiff_t>(cells_) - 1);
-    } else {
-      xlo += ghost_;
-      xhi += ghost_;
-    }
-    lo = sl.offsets[static_cast<std::size_t>(xlo)];
-    hi = sl.offsets[static_cast<std::size_t>(xhi) + 1];
+  std::size_t hi = sl.ids.size();
+  if (!whole_axis_) {
+    std::ptrdiff_t xlo = 0;
+    std::ptrdiff_t xhi = 0;
+    x_window(p.x, xlo, xhi);
+    lo = sl.offsets[static_cast<std::size_t>(xlo + ghost_)];
+    hi = sl.offsets[static_cast<std::size_t>(xhi + ghost_) + 1];
   }
   return {sl.soa.data() + lo, sl.stride, sl.ids.data() + lo, hi - lo};
 }
 
-GridEvalEngine::CandView GridEvalEngine::point_view(std::size_t row,
-                                                    const geom::Vec2& p,
-                                                    GridEvalScratch& scratch) const {
-  switch (index_) {
-    case IndexVariant::kFlat:
-      return flat_view(p);
-    case IndexVariant::kHier:
-      return hier_view(p);
-    case IndexVariant::kStream:
-      return stream_view(row, p, scratch);
+void GridEvalEngine::gather_candidates(const geom::Vec2& p,
+                                       std::vector<std::uint32_t>& out) const {
+  out.clear();
+  const auto c = static_cast<std::ptrdiff_t>(cells_);
+  const bool torus = mode_ == geom::SpaceMode::kTorus;
+  // The x window as at most two cell ranges [a, b] of every strip: one in
+  // plane mode (clamped) and off the seam, two where a torus window wraps,
+  // the whole strip where it spans the axis.  Ranges are disjoint and each
+  // camera has one entry, so the answer is duplicate-free.
+  std::ptrdiff_t xlo = 0;
+  std::ptrdiff_t xhi = 0;
+  x_window(p.x, xlo, xhi);
+  std::uint32_t ranges[2][2] = {};
+  std::size_t nranges = 1;
+  if (!torus) {
+    ranges[0][0] = static_cast<std::uint32_t>(xlo);
+    ranges[0][1] = static_cast<std::uint32_t>(xhi);
+  } else if (xhi - xlo + 1 >= c) {
+    ranges[0][1] = static_cast<std::uint32_t>(c - 1);
+  } else {
+    const std::ptrdiff_t a = ((xlo % c) + c) % c;
+    const std::ptrdiff_t b = a + (xhi - xlo);
+    ranges[0][0] = static_cast<std::uint32_t>(a);
+    ranges[0][1] = static_cast<std::uint32_t>(std::min(b, c - 1));
+    if (b >= c) {
+      ranges[1][1] = static_cast<std::uint32_t>(b - c);
+      nranges = 2;
+    }
   }
-  return {};
-}
-
-std::size_t GridEvalEngine::point_cell(const geom::Vec2& p) const {
-  const auto c = static_cast<double>(cells_);
-  const auto cx = std::min<std::size_t>(static_cast<std::size_t>(std::max(p.x, 0.0) * c),
-                                        cells_ - 1);
-  const auto cy = std::min<std::size_t>(static_cast<std::size_t>(std::max(p.y, 0.0) * c),
-                                        cells_ - 1);
-  return cx * cells_ + cy;
+  std::ptrdiff_t s_lo = 0;
+  std::ptrdiff_t s_span = 0;
+  strip_band(p.y, s_lo, s_span);
+  const double* const cam_sx = cam_soa_.sx();
+  const double* const cam_sy = cam_soa_.sy();
+  const double* const cam_r2 = cam_soa_.r2();
+  const std::uint32_t* const keys = strip_xcells_.data();
+  for (std::ptrdiff_t is = 0; is < s_span; ++is) {
+    const auto s = static_cast<std::size_t>((((s_lo + is) % c) + c) % c);
+    for (std::size_t r = 0; r < nranges; ++r) {
+      // The strip's entries are ordered by x cell: the range is found by
+      // two binary searches over the strip's keys.
+      const std::uint32_t* const first = keys + strip_offsets_[s];
+      const std::uint32_t* const last = keys + strip_offsets_[s + 1];
+      const std::uint32_t* const lo = std::lower_bound(first, last, ranges[r][0]);
+      const std::uint32_t* const hi = std::upper_bound(lo, last, ranges[r][1]);
+      for (auto e = static_cast<std::size_t>(lo - keys);
+           e < static_cast<std::size_t>(hi - keys); ++e) {
+        const std::uint32_t cam = strip_entries_[e];
+        // Exact per-axis prunes, using the kernel's own displacement
+        // sequence: fl(fl(dx^2) + fl(dy^2)) >= max(fl(dx^2), fl(dy^2))
+        // (rounding is monotone), so a camera either axis alone puts out
+        // of radius is rejected by the kernel too.
+        double dx = p.x - cam_sx[cam];
+        double dy = p.y - cam_sy[cam];
+        if (torus) {
+          dx -= std::round(dx);
+          if (dx >= 0.5) {
+            dx -= 1.0;
+          }
+          dy -= std::round(dy);
+          if (dy >= 0.5) {
+            dy -= 1.0;
+          }
+        }
+        if (dx * dx <= cam_r2[cam] && dy * dy <= cam_r2[cam]) {
+          out.push_back(cam);
+        }
+      }
+    }
+  }
 }
 
 std::span<const std::uint32_t> GridEvalEngine::candidates(const geom::Vec2& p) const {
-  switch (index_) {
-    case IndexVariant::kFlat: {
-      const CandView v = flat_view(p);
-      return {v.ids, v.count};
-    }
-    case IndexVariant::kHier: {
-      const CandView v = hier_view(p);
-      return {v.ids, v.count};
-    }
-    case IndexVariant::kStream:
-      break;
-  }
-  // Stream: no per-cell table exists; answer from the strip index with the
-  // exact y prune at p (the kernel's own displacement sequence, so every
-  // covering camera survives).  Unfiltered in x — still a duplicate-free
-  // superset, each camera is binned exactly once.
   static thread_local std::vector<std::uint32_t> buf;
-  buf.clear();
-  const auto s_count = static_cast<std::ptrdiff_t>(cells_);
-  const auto sd = static_cast<double>(cells_);
-  const bool torus = mode_ == geom::SpaceMode::kTorus;
-  std::ptrdiff_t s_lo =
-      static_cast<std::ptrdiff_t>(std::floor((p.y - max_r_) * sd)) - 1;
-  std::ptrdiff_t s_hi =
-      static_cast<std::ptrdiff_t>(std::floor((p.y + max_r_) * sd)) + 1;
-  std::ptrdiff_t s_span;
-  if (torus) {
-    s_span = std::min(s_hi - s_lo + 1, s_count);
-  } else {
-    s_lo = std::clamp<std::ptrdiff_t>(s_lo, 0, s_count - 1);
-    s_hi = std::clamp<std::ptrdiff_t>(s_hi, 0, s_count - 1);
-    s_span = s_hi - s_lo + 1;
-  }
-  const double* const cam_sy = cam_soa_.sy();
-  const double* const cam_r2 = cam_soa_.r2();
-  for (std::ptrdiff_t is = 0; is < s_span; ++is) {
-    const auto s =
-        static_cast<std::size_t>((((s_lo + is) % s_count) + s_count) % s_count);
-    for (std::uint32_t e = strip_offsets_[s]; e < strip_offsets_[s + 1]; ++e) {
-      const std::uint32_t cam = strip_entries_[e];
-      double dy = p.y - cam_sy[cam];
-      if (torus) {
-        dy -= std::round(dy);
-        if (dy >= 0.5) {
-          dy -= 1.0;
-        }
-      }
-      if (dy * dy <= cam_r2[cam]) {
-        buf.push_back(cam);
-      }
-    }
-  }
+  gather_candidates(p, buf);
   return {buf.data(), buf.size()};
 }
 
 std::size_t GridEvalEngine::point_candidate_count(std::size_t row, std::size_t col,
                                                   GridEvalScratch& scratch) const {
-  return point_view(row, grid_.point(row, col), scratch).count;
+  return row_view(row, grid_.point(row, col), scratch).count;
 }
 
 void GridEvalEngine::classify_entry(const CandView& view, std::size_t e,
@@ -1054,7 +747,7 @@ std::span<const double> GridEvalEngine::sorted_directions(std::size_t row,
                                                           GridEvalScratch& scratch) const {
   scratch.angles.clear();
   const geom::Vec2 p = grid_.point(row, col);
-  const CandView view = point_view(row, p, scratch);
+  const CandView view = row_view(row, p, scratch);
   gather_directions(p, view, scratch);
   sort_directions(scratch);
   return scratch.angles;
@@ -1105,23 +798,12 @@ void GridEvalEngine::sort_directions(GridEvalScratch& scratch) {
   }
 }
 
-GridEvalEngine::CandView GridEvalEngine::arbitrary_view(
-    const geom::Vec2& p, GridEvalScratch& scratch) const {
-  switch (index_) {
-    case IndexVariant::kFlat:
-      return flat_view(p);
-    case IndexVariant::kHier:
-      return hier_view(p);
-    case IndexVariant::kStream:
-      break;
-  }
-  // Stream: `candidates(p)` prunes the strip bins by exact y distance —
-  // still a duplicate-free superset of the covering set — and the per-id
-  // records are copied field-by-field out of the per-camera pool, so the
-  // classify pipeline sees the exact bits `fill_soa` wrote.
-  const std::span<const std::uint32_t> ids = candidates(p);
-  const std::size_t n = ids.size();
-  scratch.point_ids.assign(ids.begin(), ids.end());
+GridEvalEngine::CandView GridEvalEngine::point_view(const geom::Vec2& p,
+                                                    GridEvalScratch& scratch) const {
+  // The per-id records are copied field-by-field out of the per-camera
+  // pool, so the classify pipeline sees the exact bits the build wrote.
+  gather_candidates(p, scratch.point_ids);
+  const std::size_t n = scratch.point_ids.size();
   scratch.point_soa.resize(7 * n);
   const std::size_t cam_stride = cam_soa_.stride;
   const double* const pool = cam_soa_.data.data();
@@ -1138,7 +820,7 @@ GridEvalEngine::CandView GridEvalEngine::arbitrary_view(
 PointEval GridEvalEngine::eval_point(const geom::Vec2& p,
                                      GridEvalScratch& scratch) const {
   scratch.angles.clear();
-  gather_directions(p, arbitrary_view(p, scratch), scratch);
+  gather_directions(p, point_view(p, scratch), scratch);
   sort_directions(scratch);
   const std::span<const double> dirs = scratch.angles;
   PointEval res;
@@ -1303,7 +985,7 @@ bool GridEvalEngine::row_all_k_covered(std::size_t row, std::size_t k,
   }
   for (std::size_t col = 0; col < cols(); ++col) {
     const geom::Vec2 p = grid_.point(row, col);
-    const CandView view = point_view(row, p, scratch);
+    const CandView view = row_view(row, p, scratch);
     if (covered_count_at_least(p, view, k) < k) {
       return false;
     }

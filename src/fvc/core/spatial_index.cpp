@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "fvc/core/candidate_index.hpp"
 #include "fvc/geometry/torus.hpp"
 
 namespace fvc::core {
@@ -14,9 +13,9 @@ SpatialIndex::SpatialIndex(std::span<const geom::Vec2> points, double query_radi
     throw std::invalid_argument("SpatialIndex: query_radius must be positive");
   }
   // Cell side must be >= query_radius so that a 3x3 block suffices.  The
-  // radius floor is shared with the batched engine's candidate indexes
-  // (candidate_index.hpp): both sizing rules must agree that degenerate
-  // radii cannot request unbounded resolution.
+  // radius floor (kMinSizingRadius) is shared with the grid-eval engine's
+  // candidate index: both sizing rules must agree that degenerate radii
+  // cannot request unbounded resolution.
   const double side = std::max(query_radius, kMinSizingRadius);
   cells_ = std::max<std::size_t>(1, static_cast<std::size_t>(std::floor(1.0 / side)));
   // With wraparound, >=3 cells per side avoids double-visiting buckets in

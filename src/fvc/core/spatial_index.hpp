@@ -18,6 +18,12 @@
 
 namespace fvc::core {
 
+/// Radii below this floor are treated as this floor by the sizing rules
+/// of this index and of the grid-eval engine's candidate index, so
+/// degenerate zero-radius networks cannot request an unbounded
+/// resolution.
+inline constexpr double kMinSizingRadius = 1e-6;
+
 /// Immutable bucket-grid index over a fixed set of points on the unit torus.
 class SpatialIndex {
  public:

@@ -12,12 +12,12 @@
 /// sensing area relative to the paper's uniform assumption at equal
 /// density.
 ///
-/// Two further generators exist as adversarial inputs for the candidate
-/// index (core/candidate_index.hpp): the **Gaussian cluster** (exact-count
-/// heaps around a few centres, the memory-bound stress for the
-/// hierarchical index — nearly all coarse tiles stay empty) and the
-/// **strip hotspot** (a dense horizontal band, the worst case for the
-/// row-streamed index, whose y-strips all land in a handful of slices).
+/// Two further generators exist as adversarial inputs for the grid-eval
+/// engine's candidate index (core/grid_eval.hpp): the **Gaussian
+/// cluster** (exact-count heaps around a few centres — skewed strips and
+/// mostly empty x windows) and the **strip hotspot** (a dense horizontal
+/// band, the worst case for the y-strip index, whose cameras all land in
+/// a handful of strips and row slices).
 /// Both take an exact `count` rather than an intensity so differential
 /// suites compare identical population sizes across deployment families.
 
@@ -63,7 +63,8 @@ struct ClusterConfig {
 /// drawn uniformly, then cameras are dealt to centres round-robin with
 /// isotropic Gaussian offsets of std-dev `sigma` (torus wrapped).  With
 /// small `sigma` almost the whole fleet piles into a few spots — the
-/// clustered stress case for candidate-index memory bounds.
+/// clustered stress case for the candidate index (skewed strips, mostly
+/// empty x windows).
 struct GaussianClusterConfig {
   std::size_t count = 200;   ///< total cameras (exact, unlike Matern)
   std::size_t clusters = 4;  ///< cluster centres, uniform on the torus
@@ -89,7 +90,7 @@ struct GaussianClusterConfig {
 /// fleet lands in the horizontal band `center ± half_width` (y wrapped,
 /// x uniform); the rest is uniform background.  Concentrates nearly every
 /// camera into a few y-strips — the adversarial row density for the
-/// row-streamed candidate index.
+/// y-strip candidate index.
 struct StripHotspotConfig {
   std::size_t count = 200;    ///< total cameras (exact)
   double center = 0.5;        ///< y centre of the hot band

@@ -50,7 +50,7 @@ core::RegionCoverageStats scan_rows(const core::GridEvalEngine& engine,
   parallel_for_blocked(
       rows, plan.workers, plan.grain,
       [&](std::size_t begin, std::size_t end, std::size_t worker) {
-        // The scratch also carries the stream index's row-slice cache,
+        // The scratch also carries the candidate index's row-slice cache,
         // keyed by (engine generation, row): each row's candidate slice is
         // built once per worker and reused across the row's points and
         // across blocks, with no cross-thread sharing.

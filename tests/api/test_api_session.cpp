@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -79,14 +81,18 @@ void expect_matches_fresh(api::Session& session, double y_lo, double y_hi) {
 TEST(ApiSession, PointQueryRunsTheScalarOracles) {
   api::Session session = make_session(test_cameras());
   const core::Network net(test_cameras());
-  const geom::Vec2 p{0.375, 0.625};
-  const api::PointAnswer ans = session.query_point(p.x, p.y);
-  const core::FullViewResult fv = core::full_view_covered(net, p, kTheta);
-  EXPECT_EQ(ans.covered, fv.covered);
-  EXPECT_EQ(ans.max_gap, fv.max_gap);
-  EXPECT_EQ(ans.covering_count, fv.covering_count);
-  EXPECT_EQ(ans.necessary, core::meets_necessary_condition(net, p, kTheta));
-  EXPECT_EQ(ans.sufficient, core::meets_sufficient_condition(net, p, kTheta));
+  // An interior point and the closed domain's corners and edges.
+  for (const geom::Vec2 p : {geom::Vec2{0.375, 0.625}, geom::Vec2{0.0, 0.0},
+                             geom::Vec2{1.0, 1.0}, geom::Vec2{0.0, 1.0},
+                             geom::Vec2{1.0, 0.5}}) {
+    const api::PointAnswer ans = session.query_point(p.x, p.y);
+    const core::FullViewResult fv = core::full_view_covered(net, p, kTheta);
+    EXPECT_EQ(ans.covered, fv.covered);
+    EXPECT_EQ(ans.max_gap, fv.max_gap);
+    EXPECT_EQ(ans.covering_count, fv.covering_count);
+    EXPECT_EQ(ans.necessary, core::meets_necessary_condition(net, p, kTheta));
+    EXPECT_EQ(ans.sufficient, core::meets_sufficient_condition(net, p, kTheta));
+  }
 }
 
 TEST(ApiSession, WholeGridQueryMatchesOneShotEvaluation) {
@@ -260,6 +266,23 @@ TEST(ApiSession, ConstructionAndQueryValidation) {
   EXPECT_THROW((void)session.set_theta(-1.0), std::invalid_argument);
   EXPECT_EQ(session.digest(), base);
   EXPECT_EQ(session.theta(), kTheta);
+  // Point queries live on the closed [0, 1]^2: anything else (NaN
+  // included) is a typed error, and one bad point rejects a whole batch
+  // before any answer is written.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double bad[][2] = {{1e300, 0.5},  {0.5, -1e300},
+                           {-1e-300, 0.5}, {0.5, std::nextafter(1.0, 2.0)},
+                           {nan, 0.5},    {0.5, nan}};
+  for (const auto& xy : bad) {
+    EXPECT_THROW((void)session.query_point(xy[0], xy[1]), api::PointDomainError)
+        << xy[0] << "," << xy[1];
+  }
+  const double xs[] = {0.5, 1e300};
+  const double ys[] = {0.5, 0.5};
+  api::PointAnswer out[2];
+  out[0].covering_count = 777;
+  EXPECT_THROW(session.query_points(xs, ys, 2, out), api::PointDomainError);
+  EXPECT_EQ(out[0].covering_count, 777u);
 }
 
 TEST(TileCache, LookupInsertEvictAndClear) {

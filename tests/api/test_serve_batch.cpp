@@ -13,7 +13,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <thread>
@@ -23,6 +22,8 @@
 #include "fvc/api/session.hpp"
 #include "fvc/api/socket_io.hpp"
 #include "fvc/api/wire.hpp"
+#include "fvc/core/full_view.hpp"
+#include "fvc/core/network.hpp"
 #include "fvc/geometry/angle.hpp"
 #include "fvc/obs/cancellation.hpp"
 #include "fvc/obs/serve_stats.hpp"
@@ -169,28 +170,29 @@ void expect_same_answer(const api::PointAnswer& got, const api::PointAnswer& wan
 
 // --- Session::query_points vs the scalar oracle ----------------------------
 
-/// The batched evaluation path must be bit-identical to the per-point
-/// scalar oracle path, under every candidate index variant.
+/// Both session point paths — batched `query_points` and the one-point
+/// `query_point` — must be bit-identical to the scalar oracles, called
+/// directly on the same deployment.
 TEST(QueryPoints, MatchesScalarOracleUnderEveryIndex) {
   std::vector<double> xs;
   std::vector<double> ys;
   probe_points(xs, ys);
-  const char* orig = std::getenv("FVC_FORCE_INDEX");
-  const std::string saved = orig != nullptr ? orig : "";
-  for (const char* index : {"flat", "hier", "stream"}) {
-    ASSERT_EQ(setenv("FVC_FORCE_INDEX", index, 1), 0);
-    api::Session session(lattice_config());
-    std::vector<api::PointAnswer> bulk(xs.size());
-    session.query_points(xs.data(), ys.data(), xs.size(), bulk.data());
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      const api::PointAnswer oracle = session.query_point(xs[i], ys[i]);
-      expect_same_answer(bulk[i], oracle, i);
-    }
-  }
-  if (orig != nullptr) {
-    ASSERT_EQ(setenv("FVC_FORCE_INDEX", saved.c_str(), 1), 0);
-  } else {
-    ASSERT_EQ(unsetenv("FVC_FORCE_INDEX"), 0);
+  const api::SessionConfig cfg = lattice_config();
+  const core::Network net(cfg.cameras);
+  api::Session session(cfg);
+  std::vector<api::PointAnswer> bulk(xs.size());
+  session.query_points(xs.data(), ys.data(), xs.size(), bulk.data());
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const geom::Vec2 p{xs[i], ys[i]};
+    const core::FullViewResult fv = core::full_view_covered(net, p, cfg.theta);
+    api::PointAnswer oracle;
+    oracle.covered = fv.covered;
+    oracle.max_gap = fv.max_gap;
+    oracle.covering_count = fv.covering_count;
+    oracle.necessary = core::meets_necessary_condition(net, p, cfg.theta);
+    oracle.sufficient = core::meets_sufficient_condition(net, p, cfg.theta);
+    expect_same_answer(bulk[i], oracle, i);
+    expect_same_answer(session.query_point(xs[i], ys[i]), oracle, i);
   }
 }
 

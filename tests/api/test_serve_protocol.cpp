@@ -194,6 +194,21 @@ TEST(ServeProtocol, GoldenErrorTranscripts) {
                               "{\"op\":\"what_if\",\"action\":\"warp\"}"),
             "{\"ok\":false,\"schema\":\"fvc.query/1\","
             "\"error\":\"wire: unknown what_if action 'warp'\"}");
+  // Points outside the closed [0, 1]^2 domain get one typed error on both
+  // point verbs, before evaluation (at 1e300 the engine's window
+  // arithmetic would otherwise disagree with the oracle).
+  for (const char* request : {
+           "{\"op\":\"point\",\"x\":1e300,\"y\":0.5}",
+           "{\"op\":\"point\",\"x\":0.5,\"y\":-1e300}",
+           "{\"op\":\"point\",\"x\":1.0000000000000002,\"y\":0.5}",
+           "{\"op\":\"points\",\"x\":[0.5,1e300],\"y\":[0.5,0.5]}",
+           "{\"op\":\"points\",\"x\":[0.5,0.5],\"y\":[0.5,-0.001]}",
+       }) {
+    EXPECT_EQ(api::handle_query(session, request),
+              "{\"ok\":false,\"schema\":\"fvc.query/1\","
+              "\"error\":\"point outside the [0, 1]^2 domain\"}")
+        << request;
+  }
 }
 
 TEST(ServeProtocol, GoldenPointTranscript) {
@@ -276,6 +291,11 @@ TEST(ServeProtocol, SocketAnswersMatchHandleQuery) {
       "{\"op\":\"region\",\"y_lo\":0,\"y_hi\":1}",
       "{\"op\":\"region\",\"y_lo\":0,\"y_hi\":1}",
       "{\"op\":\"bogus\"}",
+      // Rejected at parse time, before the batcher: the next point still
+      // gets its normal answer.
+      "{\"op\":\"point\",\"x\":1e300,\"y\":0.5}",
+      "{\"op\":\"points\",\"x\":[0.5,-1e300],\"y\":[0.5,0.5]}",
+      "{\"op\":\"point\",\"x\":0.25,\"y\":0.3125}",
   };
   for (const std::string& request : transcript) {
     // Not merely equivalent: byte-identical to the in-process answer.
@@ -287,7 +307,7 @@ TEST(ServeProtocol, SocketAnswersMatchHandleQuery) {
   daemon.drain();
   EXPECT_EQ(daemon.report().connections, 1u);
   EXPECT_EQ(daemon.report().requests, transcript.size());
-  EXPECT_EQ(daemon.report().errors, 1u);  // the bogus op
+  EXPECT_EQ(daemon.report().errors, 3u);  // the bogus op, two bad points
 }
 
 TEST(ServeProtocol, MalformedFrameGetsErrorResponseAndConnectionSurvives) {

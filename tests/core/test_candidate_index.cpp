@@ -1,33 +1,33 @@
-// Differential tests across the candidate-index variants
-// (candidate_index.hpp: flat / hier / stream).  The contract under test is
-// the index seam's core promise: an index only decides which duplicate-free
-// *superset* of the covering cameras the classify kernel inspects, so
-// pinning any variant changes only speed and memory — every per-point
-// direction list and every aggregate statistic is bit-identical to the
-// flat+scalar reference, across deployment families (uniform, Matern,
-// Gaussian cluster, strip hotspot), kernels, thread counts and grains.
+// Differential tests for the grid-eval engine's candidate index (y strips
+// ordered by x cell; row slices for grid rows, x windows for off-lattice
+// points).  The contract under test is the index's core promise: it only
+// decides which duplicate-free *superset* of the covering cameras the
+// classify kernel inspects, so every per-point direction list, every
+// off-lattice `eval_point` answer and every aggregate statistic is
+// bit-identical to the per-point scalar oracle (`Network::viewed_directions`,
+// `full_view_covered`, `meets_*_condition`, `evaluate_region_scalar`),
+// across deployment families (uniform, Matern, Gaussian cluster, strip
+// hotspot), space modes, kernels, thread counts and grains — including
+// points on cell edges, on the torus seam and on the plane's edges.
 // Double comparisons go through std::bit_cast<uint64_t> so even a
-// sign-of-zero divergence would fail.  The hierarchical index additionally
-// carries a memory-bound contract on clustered deployments, asserted here
-// against index_bytes().
-
-#include "fvc/core/candidate_index.hpp"
+// sign-of-zero divergence would fail.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
+#include <limits>
 #include <optional>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "fvc/core/coverage.hpp"
 #include "fvc/core/cpu_features.hpp"
+#include "fvc/core/full_view.hpp"
 #include "fvc/core/grid_eval.hpp"
 #include "fvc/core/region_coverage.hpp"
 #include "fvc/deploy/cluster.hpp"
@@ -44,17 +44,7 @@ namespace {
 using geom::kPi;
 using geom::kTwoPi;
 
-// RAII pin: tests must never leak a forced index into later tests (the pin
-// is process-global), even when an ASSERT unwinds mid-test.
-class ForcedIndex {
- public:
-  explicit ForcedIndex(IndexVariant v) { set_forced_index(v); }
-  ~ForcedIndex() { set_forced_index(std::nullopt); }
-  ForcedIndex(const ForcedIndex&) = delete;
-  ForcedIndex& operator=(const ForcedIndex&) = delete;
-};
-
-// RAII pin for the kernel seam, so the sweep can cross indexes x kernels.
+// RAII pin for the kernel seam, so the sweeps can cross every kernel.
 class ForcedKernel {
  public:
   explicit ForcedKernel(KernelVariant v) { set_forced_kernel(v); }
@@ -62,14 +52,6 @@ class ForcedKernel {
   ForcedKernel(const ForcedKernel&) = delete;
   ForcedKernel& operator=(const ForcedKernel&) = delete;
 };
-
-std::vector<IndexVariant> all_indexes() {
-  std::vector<IndexVariant> out;
-  for (std::size_t i = 0; i < kIndexVariantCount; ++i) {
-    out.push_back(static_cast<IndexVariant>(i));
-  }
-  return out;
-}
 
 // Heterogeneous profile with an omnidirectional group (same shape as
 // test_grid_eval_kernels.cpp) so omni and sector lanes share batches.
@@ -140,20 +122,38 @@ Network deploy_family(Family f, std::uint64_t seed) {
   return Network();
 }
 
-// Evaluate `net` with the index pinned to `v`: every sorted per-point
-// direction list plus the whole-grid aggregate, flattened for comparison.
-struct PinnedRun {
+// The same cameras in plane mode (torus positions are already wrapped
+// into [0, 1)), so every family also runs without wraparound coverage.
+Network as_plane(const Network& net) {
+  return Network(std::vector<Camera>(net.cameras().begin(), net.cameras().end()),
+                 geom::SpaceMode::kPlane);
+}
+
+// Every sorted per-point direction list plus the whole-grid aggregate,
+// flattened for comparison.
+struct GridRun {
   std::vector<std::vector<double>> directions;  // per grid point, row-major
   RegionCoverageStats stats;
 };
 
-PinnedRun run_pinned(IndexVariant v, const Network& net, const DenseGrid& grid,
-                     double theta) {
-  ForcedIndex pin(v);
+// The reference: the per-point scalar oracle.
+GridRun run_oracle(const Network& net, const DenseGrid& grid, double theta) {
+  GridRun run;
+  for (std::size_t row = 0; row < grid.side(); ++row) {
+    for (std::size_t col = 0; col < grid.side(); ++col) {
+      std::vector<double> dirs = net.viewed_directions(grid.point(row, col));
+      std::sort(dirs.begin(), dirs.end());
+      run.directions.push_back(std::move(dirs));
+    }
+  }
+  run.stats = evaluate_region_scalar(net, grid, theta);
+  return run;
+}
+
+GridRun run_engine(const Network& net, const DenseGrid& grid, double theta) {
   const GridEvalEngine engine(net, grid, theta);
-  EXPECT_EQ(engine.index(), v);
   GridEvalScratch scratch;
-  PinnedRun run;
+  GridRun run;
   for (std::size_t row = 0; row < grid.side(); ++row) {
     for (std::size_t col = 0; col < grid.side(); ++col) {
       const std::span<const double> dirs = engine.sorted_directions(row, col, scratch);
@@ -162,6 +162,57 @@ PinnedRun run_pinned(IndexVariant v, const Network& net, const DenseGrid& grid,
   }
   run.stats = engine.evaluate(scratch);
   return run;
+}
+
+// Off-lattice probe points for an index of `cells` cells per side: every
+// cell edge k/cells and its neighbours one ulp either side, the torus seam
+// (0 and 1 - ulp) and the plane's edges (0 and 1), each paired with other
+// probe coordinates on the other axis, plus the seam/edge corners.
+std::vector<geom::Vec2> edge_probes(std::size_t cells) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> coords;
+  for (std::size_t k = 0; k <= cells; ++k) {
+    const double edge = static_cast<double>(k) / static_cast<double>(cells);
+    for (const double v : {std::nextafter(edge, -kInf), edge, std::nextafter(edge, kInf)}) {
+      if (v >= 0.0 && v <= 1.0) {
+        coords.push_back(v);
+      }
+    }
+  }
+  std::vector<geom::Vec2> out;
+  const std::size_t m = coords.size();
+  for (std::size_t i = 0; i < m; ++i) {
+    out.push_back({coords[i], coords[(7 * i + 3) % m]});
+    out.push_back({coords[(5 * i + 1) % m], coords[i]});
+  }
+  const double seam[] = {0.0, std::nextafter(1.0, 0.0), 1.0};
+  for (const double x : seam) {
+    for (const double y : seam) {
+      out.push_back({x, y});
+    }
+  }
+  return out;
+}
+
+void expect_point_matches_oracle(const PointEval& got, const Network& net,
+                                 const geom::Vec2& p, double theta,
+                                 const std::string& what) {
+  const FullViewResult want = full_view_covered(net, p, theta);
+  EXPECT_EQ(got.full_view.covered, want.covered) << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.full_view.max_gap),
+            std::bit_cast<std::uint64_t>(want.max_gap))
+      << what;
+  EXPECT_EQ(got.full_view.covering_count, want.covering_count) << what;
+  ASSERT_EQ(got.full_view.witness_unsafe_direction.has_value(),
+            want.witness_unsafe_direction.has_value())
+      << what;
+  if (want.witness_unsafe_direction.has_value()) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*got.full_view.witness_unsafe_direction),
+              std::bit_cast<std::uint64_t>(*want.witness_unsafe_direction))
+        << what;
+  }
+  EXPECT_EQ(got.necessary, meets_necessary_condition(net, p, theta)) << what;
+  EXPECT_EQ(got.sufficient, meets_sufficient_condition(net, p, theta)) << what;
 }
 
 void expect_stats_identical(const RegionCoverageStats& ref,
@@ -180,7 +231,7 @@ void expect_stats_identical(const RegionCoverageStats& ref,
       << what;
 }
 
-void expect_runs_identical(const PinnedRun& ref, const PinnedRun& got,
+void expect_runs_identical(const GridRun& ref, const GridRun& got,
                            const std::string& what) {
   ASSERT_EQ(ref.directions.size(), got.directions.size()) << what;
   for (std::size_t p = 0; p < ref.directions.size(); ++p) {
@@ -195,9 +246,12 @@ void expect_runs_identical(const PinnedRun& ref, const PinnedRun& got,
   expect_stats_identical(ref.stats, got.stats, what);
 }
 
-// The full differential sweep: deployment families x index variants x
-// kernel variants (scalar reference, every supported alternative), at a
-// theta that keeps the full-view predicate non-trivial.  8 seeds per
+// The full differential sweep: deployment families x space modes x kernel
+// variants (scalar, every supported alternative) against the per-point
+// scalar oracle, at a theta that keeps the full-view predicate
+// non-trivial — every grid point's direction list and the aggregate, plus
+// off-lattice `eval_point` (the x-window path, no row slice) on cell
+// edges +- 1 ulp, the torus seam and the plane's edges.  8 seeds per
 // family keep cluster geometry varied (wrap-straddling clusters, empty
 // bands, single-cluster piles) while the suite stays fast.
 TEST(CandidateIndex, BitIdenticalAcrossFamiliesIndexesAndKernels) {
@@ -205,25 +259,28 @@ TEST(CandidateIndex, BitIdenticalAcrossFamiliesIndexesAndKernels) {
   const double theta = kPi / 4.0;
   for (const Family fam : kFamilies) {
     for (std::uint64_t seed = 0; seed < 8; ++seed) {
-      const Network net = deploy_family(fam, seed);
-      const PinnedRun ref = [&] {
-        ForcedKernel k(KernelVariant::kScalar);
-        return run_pinned(IndexVariant::kFlat, net, grid, theta);
-      }();
-      for (std::size_t kv = 0; kv < kKernelVariantCount; ++kv) {
-        const KernelVariant kernel = static_cast<KernelVariant>(kv);
-        if (!kernel_supported(kernel)) {
-          continue;
-        }
-        ForcedKernel pin_kernel(kernel);
-        for (const IndexVariant index : all_indexes()) {
-          const PinnedRun got = run_pinned(index, net, grid, theta);
-          expect_runs_identical(
-              ref, got,
-              std::string("family=") + family_name(fam) + " seed=" +
-                  std::to_string(seed) + " index=" +
-                  std::string(index_name(index)) + " kernel=" +
-                  std::string(kernel_name(kernel)));
+      const Network torus = deploy_family(fam, seed);
+      const Network plane = as_plane(torus);
+      for (const Network* net : {&torus, &plane}) {
+        const GridRun ref = run_oracle(*net, grid, theta);
+        for (std::size_t kv = 0; kv < kKernelVariantCount; ++kv) {
+          const auto kernel = static_cast<KernelVariant>(kv);
+          if (!kernel_supported(kernel)) {
+            continue;
+          }
+          ForcedKernel pin_kernel(kernel);
+          const std::string what = std::string("family=") + family_name(fam) +
+                                   " seed=" + std::to_string(seed) + " plane=" +
+                                   std::to_string(net == &plane) + " kernel=" +
+                                   std::string(kernel_name(kernel));
+          expect_runs_identical(ref, run_engine(*net, grid, theta), what);
+          const GridEvalEngine engine(*net, grid, theta);
+          GridEvalScratch scratch;
+          for (const geom::Vec2& p : edge_probes(engine.cells_per_side())) {
+            expect_point_matches_oracle(engine.eval_point(p, scratch), *net, p, theta,
+                                        what + " p=(" + std::to_string(p.x) + "," +
+                                            std::to_string(p.y) + ")");
+          }
         }
       }
     }
@@ -231,8 +288,8 @@ TEST(CandidateIndex, BitIdenticalAcrossFamiliesIndexesAndKernels) {
 }
 
 // The parallel scan reuses one engine (and its row-slice scratch) across
-// blocks; every (index, threads, grain) combination must still fold to the
-// flat serial result bitwise.  Threads 3 with grain 1 maximises slice
+// blocks; every (threads, grain) combination must still fold to the
+// scalar oracle's result bitwise.  Threads 3 with grain 1 maximises slice
 // rebuilds (rows interleave across workers); grain 0 exercises
 // choose_grain's big blocks.
 TEST(CandidateIndex, ParallelScansBitIdenticalAcrossThreadsAndGrains) {
@@ -240,104 +297,71 @@ TEST(CandidateIndex, ParallelScansBitIdenticalAcrossThreadsAndGrains) {
   const double theta = kPi / 3.0;
   for (const Family fam : {Family::kUniform, Family::kGaussian, Family::kStrip}) {
     const Network net = deploy_family(fam, 3);
-    const RegionCoverageStats ref = [&] {
-      ForcedIndex pin(IndexVariant::kFlat);
-      return sim::evaluate_region_parallel(net, grid, theta, 1, 1);
-    }();
-    for (const IndexVariant index : all_indexes()) {
-      ForcedIndex pin(index);
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-        for (const std::size_t grain : {std::size_t{1}, std::size_t{0}}) {
-          const RegionCoverageStats got =
-              sim::evaluate_region_parallel(net, grid, theta, threads, grain);
-          expect_stats_identical(
-              ref, got,
-              std::string("family=") + family_name(fam) + " index=" +
-                  std::string(index_name(index)) + " threads=" +
-                  std::to_string(threads) + " grain=" + std::to_string(grain));
-        }
+    const RegionCoverageStats ref = evaluate_region_scalar(net, grid, theta);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      for (const std::size_t grain : {std::size_t{1}, std::size_t{0}}) {
+        const RegionCoverageStats got =
+            sim::evaluate_region_parallel(net, grid, theta, threads, grain);
+        expect_stats_identical(
+            ref, got,
+            std::string("family=") + family_name(fam) + " threads=" +
+                std::to_string(threads) + " grain=" + std::to_string(grain));
       }
     }
   }
 }
 
 // candidates(p) must be a duplicate-free superset of the cameras covering
-// p, for every index variant — the structural half of the bit-identity
-// argument (the kernel's exact tests do the rest).
+// p — the structural half of the bit-identity argument (the kernel's
+// exact tests do the rest) — at grid points and at the off-lattice edge
+// and seam probes, in both space modes.
 TEST(CandidateIndex, CandidatesAreDuplicateFreeSupersets) {
   const DenseGrid grid(9);
   for (const Family fam : kFamilies) {
-    const Network net = deploy_family(fam, 5);
-    for (const IndexVariant index : all_indexes()) {
-      ForcedIndex pin(index);
-      const GridEvalEngine engine(net, grid, kPi / 4.0);
+    const Network torus = deploy_family(fam, 5);
+    const Network plane = as_plane(torus);
+    for (const Network* net : {&torus, &plane}) {
+      const GridEvalEngine engine(*net, grid, kPi / 4.0);
       GridEvalScratch scratch;
+      std::vector<geom::Vec2> probes = edge_probes(engine.cells_per_side());
       for (std::size_t row = 0; row < grid.side(); ++row) {
         for (std::size_t col = 0; col < grid.side(); ++col) {
-          const geom::Vec2 p = grid.point(row, col);
-          const std::span<const std::uint32_t> cand = engine.candidates(p);
-          std::vector<std::uint32_t> sorted(cand.begin(), cand.end());
-          std::sort(sorted.begin(), sorted.end());
-          EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
-              << "duplicate candidate, index=" << index_name(index);
-          for (std::uint32_t i = 0; i < net.size(); ++i) {
-            if (covers(net.cameras()[i], p)) {
-              EXPECT_TRUE(std::binary_search(sorted.begin(), sorted.end(), i))
-                  << "covering camera " << i << " missing, index="
-                  << index_name(index) << " family=" << family_name(fam);
-            }
+          probes.push_back(grid.point(row, col));
+          // The kernel-facing row-slice span is a superset too.
+          EXPECT_LE(engine.point_candidate_count(row, col, scratch), net->size());
+        }
+      }
+      for (const geom::Vec2& p : probes) {
+        const std::span<const std::uint32_t> cand = engine.candidates(p);
+        std::vector<std::uint32_t> sorted(cand.begin(), cand.end());
+        std::sort(sorted.begin(), sorted.end());
+        const std::string what = std::string("family=") + family_name(fam) +
+                                 " plane=" + std::to_string(net == &plane) + " p=(" +
+                                 std::to_string(p.x) + "," + std::to_string(p.y) + ")";
+        EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
+            << "duplicate candidate, " << what;
+        for (std::uint32_t i = 0; i < net->size(); ++i) {
+          if (covers(net->cameras()[i], p, net->mode())) {
+            EXPECT_TRUE(std::binary_search(sorted.begin(), sorted.end(), i))
+                << "covering camera " << i << " missing, " << what;
           }
-          // The kernel-facing span is at least as selective a superset.
-          const std::size_t width = engine.point_candidate_count(row, col, scratch);
-          EXPECT_LE(width, net.size());
         }
       }
     }
   }
 }
 
-// The hierarchical index's reason to exist: on a clustered deployment
-// whose radii demand a fine resolution, subdividing only occupied tiles
-// must keep the index dramatically smaller than the flat fine grid.
-TEST(CandidateIndex, HierIndexMemoryBoundedOnClusteredDeployment) {
-  stats::Pcg32 rng = stats::make_child_rng(8102, 0);
-  const HeterogeneousProfile profile(
-      std::vector<CameraGroupSpec>{{1.0, 0.004, kTwoPi}});
-  deploy::GaussianClusterConfig cfg;
-  cfg.count = 50;
-  cfg.clusters = 2;
-  cfg.sigma = 0.005;
-  const Network net = deploy::deploy_gaussian_cluster_network(profile, cfg, rng);
-  const DenseGrid grid(200);  // cap = 4 * 200 = 800 > 750 target
-
-  const auto bytes_for = [&](IndexVariant v) {
-    ForcedIndex pin(v);
-    const GridEvalEngine engine(net, grid, kPi / 4.0);
-    EXPECT_FALSE(engine.cells_clamped());
-    return engine.index_bytes();
-  };
-  const std::size_t flat_bytes = bytes_for(IndexVariant::kFlat);
-  const std::size_t hier_bytes = bytes_for(IndexVariant::kHier);
-  // r = 0.004 sizes 750 cells/side: the flat offset table alone is
-  // ~2.25 MB, while two tight clusters occupy a handful of coarse tiles
-  // and the replicated entries stay a few thousand.
-  EXPECT_LT(hier_bytes * 4, flat_bytes)
-      << "hier=" << hier_bytes << " flat=" << flat_bytes;
-}
-
-// Sizing diagnostics: the pre-cap target, the clamp bit, and the
-// FVC_INDEX_CELL_CAP escape hatch that reproduces the historical 256-cell
-// clamp for before/after benchmarking.
+// Sizing diagnostics: the pre-cap target, the clamp bit, and their export.
+// The 4 * grid_side cap binds on a coarse grid.
 TEST(CandidateIndex, CellCapEnvClampsAndIsReported) {
   stats::Pcg32 rng = stats::make_child_rng(8103, 0);
   const HeterogeneousProfile profile(
       std::vector<CameraGroupSpec>{{1.0, 0.05, kTwoPi}});
   const Network net = deploy::deploy_uniform_network(profile, 50, rng);
-  const DenseGrid grid(32);
 
-  // Unclamped: r = 0.05 targets 60 cells/side, under every cap.
+  // Unclamped: r = 0.05 targets 60 cells/side, under the 4 * 32 cap.
   {
-    const GridEvalEngine engine(net, grid, kPi / 4.0);
+    const GridEvalEngine engine(net, DenseGrid(32), kPi / 4.0);
     EXPECT_EQ(engine.cells_target(), 60u);
     EXPECT_EQ(engine.cells_per_side(), 60u);
     EXPECT_FALSE(engine.cells_clamped());
@@ -347,17 +371,17 @@ TEST(CandidateIndex, CellCapEnvClampsAndIsReported) {
     EXPECT_DOUBLE_EQ(node.counter("cells_clamped"), 0.0);
     EXPECT_GT(node.counter("index_bytes"), 0.0);
   }
-  // Diagnostic cap: the engine must honour it and raise the clamp bit.
-  ASSERT_EQ(setenv("FVC_INDEX_CELL_CAP", "8", 1), 0);
+  // A 4x4 grid caps the index at 16 cells/side and raises the clamp bit.
   {
-    const GridEvalEngine engine(net, grid, kPi / 4.0);
-    EXPECT_EQ(engine.cells_per_side(), 8u);
+    const GridEvalEngine engine(net, DenseGrid(4), kPi / 4.0);
+    EXPECT_EQ(engine.cells_target(), 60u);
+    EXPECT_EQ(engine.cells_per_side(), 16u);
     EXPECT_TRUE(engine.cells_clamped());
     obs::MetricsNode node("engine");
     engine.describe(node);
+    EXPECT_DOUBLE_EQ(node.counter("cells_target"), 60.0);
     EXPECT_DOUBLE_EQ(node.counter("cells_clamped"), 1.0);
   }
-  ASSERT_EQ(unsetenv("FVC_INDEX_CELL_CAP"), 0);
 }
 
 // Beyond the historical clamp: a small-radius network must size past 256
@@ -373,60 +397,6 @@ TEST(CandidateIndex, ResolutionExceedsHistoricalClamp) {
   EXPECT_EQ(engine.cells_per_side(), 375u);
   EXPECT_FALSE(engine.cells_clamped());
   EXPECT_GT(engine.cells_per_side(), 256u);
-}
-
-// Dispatch-seam plumbing, mirroring the kernel seam's guarantees.
-TEST(CandidateIndex, NamesRoundTrip) {
-  for (const IndexVariant v : all_indexes()) {
-    const auto back = index_from_name(index_name(v));
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, v);
-  }
-  EXPECT_FALSE(index_from_name("quadtree").has_value());
-  EXPECT_FALSE(index_from_name("").has_value());
-}
-
-TEST(CandidateIndex, EnvironmentPinRespectedAndValidated) {
-  const char* orig_env = std::getenv("FVC_FORCE_INDEX");
-  const std::string orig = orig_env != nullptr ? orig_env : "";
-  const bool had_orig = orig_env != nullptr;
-  set_forced_index(std::nullopt);
-  ASSERT_FALSE(forced_index().has_value());
-  ASSERT_EQ(setenv("FVC_FORCE_INDEX", "hier", 1), 0);
-  EXPECT_EQ(resolve_index(), IndexVariant::kHier);
-  {
-    const Network net;
-    const DenseGrid grid(4);
-    const GridEvalEngine engine(net, grid, kPi / 4.0);
-    EXPECT_EQ(engine.index(), IndexVariant::kHier);
-  }
-  ASSERT_EQ(setenv("FVC_FORCE_INDEX", "quadtree", 1), 0);
-  EXPECT_THROW((void)resolve_index(), std::runtime_error);
-  // Set-but-empty counts as unset (CI matrix legs export "" for auto).
-  ASSERT_EQ(setenv("FVC_FORCE_INDEX", "", 1), 0);
-  EXPECT_EQ(resolve_index(), preferred_index());
-  // A programmatic pin outranks the environment.
-  {
-    ForcedIndex pin(IndexVariant::kFlat);
-    ASSERT_EQ(setenv("FVC_FORCE_INDEX", "stream", 1), 0);
-    EXPECT_EQ(resolve_index(), IndexVariant::kFlat);
-  }
-  if (had_orig) {
-    ASSERT_EQ(setenv("FVC_FORCE_INDEX", orig.c_str(), 1), 0);
-  } else {
-    ASSERT_EQ(unsetenv("FVC_FORCE_INDEX"), 0);
-    EXPECT_EQ(resolve_index(), preferred_index());
-  }
-}
-
-TEST(CandidateIndex, DispatchCountersTrackConstruction) {
-  const Network net;
-  const DenseGrid grid(4);
-  ForcedIndex pin(IndexVariant::kHier);
-  const std::uint64_t before = index_dispatch_count(IndexVariant::kHier);
-  const GridEvalEngine engine(net, grid, kPi / 4.0);
-  EXPECT_EQ(engine.index(), IndexVariant::kHier);
-  EXPECT_EQ(index_dispatch_count(IndexVariant::kHier), before + 1);
 }
 
 }  // namespace
