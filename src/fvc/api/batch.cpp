@@ -1,6 +1,5 @@
 #include "fvc/api/batch.hpp"
 
-#include <chrono>
 #include <stdexcept>
 
 namespace fvc::api {
@@ -33,38 +32,19 @@ void PointBatcher::evaluate(const double* xs, const double* ys, std::size_t n,
 
 void PointBatcher::run_round(std::unique_lock<std::mutex>& lk) {
   leader_active_ = true;
-  if (cfg_.window_us > 0 && queue_.size() >= 2) {
-    // Group-commit window: this round is coalescing anyway, so linger
-    // briefly for stragglers.  A lone waiter never waits here — the
-    // straight-through path below keeps single-client latency flat.
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::microseconds(cfg_.window_us);
-    std::size_t pending = 0;
-    for (const Waiter* q : queue_) {
-      pending += q->n;
-    }
-    while (pending < cfg_.max_points &&
-           cv_.wait_until(lk, deadline) != std::cv_status::timeout) {
-      pending = 0;
-      for (const Waiter* q : queue_) {
-        pending += q->n;
-      }
-    }
-  }
-
   // Drain FIFO up to the points budget; the head waiter is always taken
   // (a single oversized `points` array still runs, alone).
   std::vector<Waiter*> round;
   std::size_t total_points = 0;
   while (!queue_.empty()) {
     Waiter* head = queue_.front();
-    if (!round.empty() && total_points + head->n > cfg_.max_points) {
+    if (!round.empty() && total_points + head->n > kMaxRoundPoints) {
       break;
     }
     queue_.pop_front();
     round.push_back(head);
     total_points += head->n;
-    if (total_points >= cfg_.max_points) {
+    if (total_points >= kMaxRoundPoints) {
       break;
     }
   }
@@ -94,9 +74,7 @@ void PointBatcher::run_round(std::unique_lock<std::mutex>& lk) {
       failure = "batch round failed";
     }
   }
-  if (stats_ != nullptr) {
-    stats_->note_batch(round.size(), total_points);
-  }
+  stats_.note_batch(round.size(), total_points);
   lk.lock();
 
   std::size_t off = 0;

@@ -2,31 +2,31 @@
 /// \brief Group-commit batching of point queries for the serve daemon.
 ///
 /// The daemon's hottest op is `point`, and every request serializes on
-/// one session mutex — so N concurrent clients pay N kernel dispatches,
-/// N digest renders, and N lock hand-offs for work the SIMD engine could
-/// answer in one fused pass.  `PointBatcher` coalesces them: a handler
+/// one session mutex — so N concurrent clients would pay N kernel
+/// dispatches, N digest renders, and N lock hand-offs for work the SIMD
+/// engine can answer in one fused pass.  `PointBatcher` coalesces them,
+/// and it is the daemon's only route for `point` / `points`: a handler
 /// thread with point work enqueues a waiter; whichever waiter finds no
 /// round in progress elects itself *leader*, drains the queue (up to
-/// `max_points`), evaluates every queued point with ONE
+/// `kMaxRoundPoints`), evaluates every queued point with ONE
 /// `Session::query_points` call under the session mutex, scatters the
 /// answers back, and wakes the *followers*, which were blocked on their
 /// waiter's completion flag.
 ///
-/// Latency contract: when a single request is pending the leader drains
-/// a queue of one and evaluates immediately — the straight-through path;
-/// single-client latency pays one mutex/condvar pair over the unbatched
-/// daemon, not a window.  `window_us` (default 0: off) only ever delays
-/// a leader that already has company, letting an extra poll-tick of
-/// arrivals pile in before the kernel pass.
+/// Latency contract: the leader never lingers.  A lone request drains a
+/// queue of one and evaluates immediately; coalescing happens only
+/// because waiters pile up while the previous round (or any other
+/// session-mutex holder) computes.
 ///
 /// Bit-identity contract: batching changes *scheduling*, never results.
-/// `Session::query_points` and the unbatched `Session::query_point` both
-/// answer each point through `GridEvalEngine::eval_point` (one candidate
-/// gather + one sort feed all three predicates), so a point gets the same
-/// bytes whichever round, if any, carried it.  The round's digest is captured
-/// under the same session-mutex hold that evaluates the points, so a
-/// concurrent what-if edit can never tear a batch: every answer in a
-/// round is consistent with the digest it reports.
+/// `Session::query_points` answers each point through
+/// `GridEvalEngine::eval_point` (one candidate gather + one sort feed all
+/// three predicates), the same path the in-process `handle_query` takes,
+/// so a point gets the same bytes whichever round carried it.  The
+/// round's digest is captured under the same session-mutex hold that
+/// evaluates the points, so a concurrent what-if edit can never tear a
+/// batch: every answer in a round is consistent with the digest it
+/// reports.
 ///
 /// Drain safety is structural: every enqueued waiter is evaluated by
 /// *some* leader — itself, if nobody else is around — so a daemon drain
@@ -44,14 +44,12 @@
 
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include <condition_variable>
 
 #include "fvc/api/session.hpp"
 #include "fvc/obs/serve_stats.hpp"
@@ -59,28 +57,18 @@
 namespace fvc::api {
 
 /// The group-commit point batcher.  One instance per daemon run; holds
-/// references to the session and its serializing mutex (both must
-/// outlive the batcher).
+/// references to the session, its serializing mutex and the telemetry
+/// registry (all must outlive the batcher).
 class PointBatcher {
  public:
-  struct Config {
-    /// Max points per kernel round.  A round always takes at least one
-    /// waiter, even when that waiter alone exceeds the budget (a
-    /// `points` array is never split across rounds).
-    std::size_t max_points = 256;
-    /// Leader linger when a round already has >= 2 waiters: wait up to
-    /// this long for more arrivals before evaluating.  0 = drain
-    /// immediately (the default; coalescing still happens because
-    /// waiters pile up while the previous round computes).
-    std::uint64_t window_us = 0;
-  };
+  /// Points budget of one kernel round.  A round always takes at least
+  /// one waiter, even when that waiter alone exceeds the budget (a
+  /// `points` array is never split across rounds).
+  static constexpr std::size_t kMaxRoundPoints = 256;
 
-  PointBatcher(Session& session, std::mutex& session_mutex, Config cfg,
-               obs::ServeStats* stats)
-      : session_(session),
-        session_mutex_(session_mutex),
-        cfg_(cfg),
-        stats_(stats) {}
+  PointBatcher(Session& session, std::mutex& session_mutex,
+               obs::ServeStats& stats)
+      : session_(session), session_mutex_(session_mutex), stats_(stats) {}
 
   PointBatcher(const PointBatcher&) = delete;
   PointBatcher& operator=(const PointBatcher&) = delete;
@@ -104,15 +92,14 @@ class PointBatcher {
     std::string error;
   };
 
-  /// Lead one round: optionally linger, drain the queue, run the kernel
-  /// pass outside `lk` (under the session mutex), publish the answers.
-  /// Called with `lk` held; returns with it held.
+  /// Lead one round: drain the queue, run the kernel pass outside `lk`
+  /// (under the session mutex), publish the answers.  Called with `lk`
+  /// held; returns with it held.
   void run_round(std::unique_lock<std::mutex>& lk);
 
   Session& session_;
   std::mutex& session_mutex_;
-  const Config cfg_;
-  obs::ServeStats* const stats_;
+  obs::ServeStats& stats_;
 
   std::mutex mutex_;
   std::condition_variable cv_;

@@ -1,5 +1,6 @@
 #include "fvc/api/server.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -38,9 +39,9 @@ std::string error_response(std::string_view message) {
   return w.finish();
 }
 
-/// The `point` answer body.  Shared by the classic per-request path and
-/// the batcher path so both emit byte-identical responses (the golden
-/// protocol transcripts pin this exact layout).
+/// The `point` answer body.  Shared by handle_query and the batcher path
+/// so both emit byte-identical responses (the golden protocol
+/// transcripts pin this exact layout).
 std::string point_response(const std::string& digest, const PointAnswer& ans) {
   JsonObjectWriter w;
   w.add_bool("ok", true);
@@ -173,21 +174,6 @@ std::string handle_what_if(Session& session, const WireObject& req) {
   return w.finish();
 }
 
-/// The session's tile-cache counters packaged for the telemetry mirror.
-/// Callers hold the session mutex.
-obs::CacheMirror cache_mirror_of(const Session& session) {
-  const TileCacheStats& cs = session.cache_stats();
-  obs::CacheMirror m;
-  m.hits = cs.hits;
-  m.misses = cs.misses;
-  m.evictions = cs.evictions;
-  m.carried_forward = cs.carried_forward;
-  m.tiles = session.cache().size();
-  m.capacity = session.cache().capacity();
-  m.bytes = session.cache().approx_bytes();
-  return m;
-}
-
 std::string handle_stats(Session& session, obs::ServeStats& stats) {
   // Refresh the cache mirror first (we hold the session mutex), so the
   // snapshot's occupancy is current, then advance the delta baseline —
@@ -246,28 +232,23 @@ std::string handle_stats(Session& session, obs::ServeStats& stats) {
 /// upstream).  Classification lands in `type_out` from the op actually
 /// dispatched.
 std::string handle_parsed(Session& session, const WireObject& req,
-                          obs::ServeStats* stats, obs::ReqType* type_out) {
-  const auto classify = [type_out](obs::ReqType type) {
-    if (type_out != nullptr) {
-      *type_out = type;
-    }
-  };
+                          obs::ServeStats* stats, obs::ReqType& type_out) {
   const std::string& op = get_string(req, "op");
   if (op == "point") {
-    classify(obs::ReqType::kPoint);
+    type_out = obs::ReqType::kPoint;
     const auto [x, y] = point_coords(req);
     const PointAnswer ans = session.query_point(x, y);
     return point_response(session.digest_hex(), ans);
   }
   if (op == "points") {
-    classify(obs::ReqType::kBatch);
+    type_out = obs::ReqType::kBatch;
     const auto [xs, ys] = points_coords(req);
     std::vector<PointAnswer> answers(xs->size());
     session.query_points(xs->data(), ys->data(), xs->size(), answers.data());
     return points_response(session.digest_hex(), answers);
   }
   if (op == "region") {
-    classify(obs::ReqType::kRegion);
+    type_out = obs::ReqType::kRegion;
     const RegionAnswer ans =
         session.query_region(get_number(req, "y_lo"), get_number(req, "y_hi"));
     JsonObjectWriter w;
@@ -278,18 +259,18 @@ std::string handle_parsed(Session& session, const WireObject& req,
     return w.finish();
   }
   if (op == "what_if") {
-    classify(obs::ReqType::kWhatIf);
+    type_out = obs::ReqType::kWhatIf;
     return handle_what_if(session, req);
   }
   if (op == "stats") {
-    classify(obs::ReqType::kStats);
+    type_out = obs::ReqType::kStats;
     if (stats == nullptr) {
       return error_response("stats not available");
     }
     return handle_stats(session, *stats);
   }
   if (op == "info") {
-    classify(obs::ReqType::kInfo);
+    type_out = obs::ReqType::kInfo;
     const TileCacheStats& cs = session.cache_stats();
     JsonObjectWriter w;
     w.add_bool("ok", true);
@@ -312,134 +293,132 @@ std::string handle_parsed(Session& session, const WireObject& req,
 
 }  // namespace
 
+obs::CacheMirror cache_mirror_of(const Session& session) {
+  const TileCacheStats& cs = session.cache_stats();
+  obs::CacheMirror m;
+  m.hits = cs.hits;
+  m.misses = cs.misses;
+  m.evictions = cs.evictions;
+  m.carried_forward = cs.carried_forward;
+  m.tiles = session.cache().size();
+  m.capacity = session.cache().capacity();
+  m.bytes = session.cache().approx_bytes();
+  return m;
+}
+
 std::string handle_query(Session& session, std::string_view body,
-                         obs::ServeStats* stats, obs::ReqType* type_out) {
-  if (type_out != nullptr) {
-    *type_out = obs::ReqType::kOther;  // until an op actually dispatches
-  }
+                         obs::ServeStats* stats) {
   try {
-    const WireObject req = parse_flat_object(body);
-    return handle_parsed(session, req, stats, type_out);
+    obs::ReqType type = obs::ReqType::kOther;
+    return handle_parsed(session, parse_flat_object(body), stats, type);
   } catch (const std::exception& e) {
     return error_response(e.what());
   }
-}
-
-std::string handle_query(Session& session, std::string_view body) {
-  return handle_query(session, body, nullptr, nullptr);
 }
 
 namespace {
 
 /// Shared state of one daemon run.
 struct ServeState {
-  Session* session = nullptr;
-  obs::ServeStats* stats = nullptr;  ///< null = no telemetry recording
-  PointBatcher* batcher = nullptr;   ///< null = batching disabled
+  ServeState(Session& s, obs::ServeStats& st) : session(s), stats(st) {}
+
+  Session& session;
+  obs::ServeStats& stats;
   std::mutex session_mutex;
+  PointBatcher batcher{session, session_mutex, stats};
   std::atomic<bool> draining{false};
-  std::atomic<std::uint64_t> requests{0};
-  std::atomic<std::uint64_t> errors{0};
 };
 
 /// 4 bytes of length prefix per frame, counted into the byte totals.
 constexpr std::uint64_t kFrameOverhead = 4;
 
-/// Answer one request body for the serve loop.  With a batcher, point
-/// work coalesces into group-commit rounds (the batcher takes the
-/// session mutex itself); everything else — and everything when batching
-/// is off — serializes under the session mutex through the classic path.
-/// Mirrors handle_query's classification contract exactly.
+/// Answer one request body for the serve loop.  Point work coalesces into
+/// group-commit rounds (the batcher takes the session mutex itself);
+/// everything else serializes under the session mutex through
+/// handle_parsed.  Classification lands in `type_out` from the op actually
+/// dispatched (kOther for anything that failed to parse).
 std::string serve_one(ServeState& state, std::string_view body,
-                      obs::ReqType* type_out) {
-  *type_out = obs::ReqType::kOther;  // until an op actually dispatches
+                      obs::ReqType& type_out) {
+  type_out = obs::ReqType::kOther;  // until an op actually dispatches
   try {
     const WireObject req = parse_flat_object(body);
-    if (state.batcher != nullptr) {
-      const std::string& op = get_string(req, "op");
-      if (op == "point") {
-        *type_out = obs::ReqType::kPoint;
-        const auto [x, y] = point_coords(req);
-        PointAnswer ans;
-        std::string digest;
-        state.batcher->evaluate(&x, &y, 1, &ans, digest);
-        return point_response(digest, ans);
-      }
-      if (op == "points") {
-        *type_out = obs::ReqType::kBatch;
-        const auto [xs, ys] = points_coords(req);
-        std::vector<PointAnswer> answers(xs->size());
-        std::string digest;
-        state.batcher->evaluate(xs->data(), ys->data(), xs->size(),
-                                answers.data(), digest);
-        return points_response(digest, answers);
-      }
+    const std::string& op = get_string(req, "op");
+    if (op == "point") {
+      type_out = obs::ReqType::kPoint;
+      const auto [x, y] = point_coords(req);
+      PointAnswer ans;
+      std::string digest;
+      state.batcher.evaluate(&x, &y, 1, &ans, digest);
+      return point_response(digest, ans);
+    }
+    if (op == "points") {
+      type_out = obs::ReqType::kBatch;
+      const auto [xs, ys] = points_coords(req);
+      std::vector<PointAnswer> answers(xs->size());
+      std::string digest;
+      state.batcher.evaluate(xs->data(), ys->data(), xs->size(), answers.data(),
+                             digest);
+      return points_response(digest, answers);
     }
     const std::lock_guard<std::mutex> lock(state.session_mutex);
-    std::string response = handle_parsed(*state.session, req, state.stats, type_out);
-    if (state.stats != nullptr) {
-      // Republish the cache mirror while the mutex still orders the
-      // writes — mirror values then never move backwards.
-      state.stats->note_cache(cache_mirror_of(*state.session));
-    }
+    std::string response = handle_parsed(state.session, req, &state.stats, type_out);
+    // Republish the cache mirror while the mutex still orders the
+    // writes — mirror values then never move backwards.
+    state.stats.note_cache(cache_mirror_of(state.session));
     return response;
   } catch (const std::exception& e) {
     return error_response(e.what());
   }
 }
 
-void client_loop(ServeState& state, ScopedFd fd) {
-  obs::ServeStats::Recorder* recorder =
-      state.stats != nullptr ? &state.stats->make_recorder() : nullptr;
+/// Serve one connection until the client hangs up, the framing breaks, or
+/// the daemon drains.  `fd` stays owned by the caller's ClientSlot.
+void client_loop(ServeState& state, int fd) {
+  obs::ServeStats::Recorder& recorder = state.stats.make_recorder();
   try {
     // Serve until drain: the response in flight still goes out (the check
     // sits at the loop top), then the connection closes and the client
     // reads EOF — its signal that the daemon is gone.
     while (!state.draining.load(std::memory_order_relaxed)) {
-      if (!poll_readable(fd.get(), kPollMs)) {
+      if (!poll_readable(fd, kPollMs)) {
         continue;
       }
-      const std::optional<std::string> body = read_frame(fd.get());
+      const std::optional<std::string> body = read_frame(fd);
       if (!body.has_value()) {
-        break;  // clean EOF: client hung up
+        break;  // clean EOF: client hung up, or drain shut the read side
       }
       obs::ReqType type = obs::ReqType::kOther;
       const std::uint64_t t0 = obs::monotonic_ns();
-      if (state.stats != nullptr) {
-        state.stats->request_started();
-      }
-      const std::string response = serve_one(state, *body, &type);
-      const bool is_error = response.rfind("{\"ok\":false", 0) == 0;
-      if (state.stats != nullptr) {
-        state.stats->request_finished();
-        // Record before the response leaves: once a client has read its
-        // answer, the daemon's totals already include it — what makes
-        // "stats totals equal requests issued" exact for a poller that
-        // waits for its load to finish.
-        recorder->record(type, (obs::monotonic_ns() - t0) / 1000,
-                         body->size() + kFrameOverhead,
-                         response.size() + kFrameOverhead, is_error);
-      }
-      state.requests.fetch_add(1, std::memory_order_relaxed);
-      if (is_error) {
-        state.errors.fetch_add(1, std::memory_order_relaxed);
-      }
-      write_frame(fd.get(), response);
+      state.stats.request_started();
+      const std::string response = serve_one(state, *body, type);
+      state.stats.request_finished();
+      // Record before the response leaves: once a client has read its
+      // answer, the daemon's totals already include it — what makes
+      // "stats totals equal requests issued" exact for a poller that
+      // waits for its load to finish.
+      recorder.record(type, (obs::monotonic_ns() - t0) / 1000,
+                      body->size() + kFrameOverhead,
+                      response.size() + kFrameOverhead,
+                      response.rfind("{\"ok\":false", 0) == 0);
+      write_frame(fd, response);
     }
   } catch (const std::exception&) {
     // Framing desync or a vanished peer: drop the connection.  The
     // daemon itself must outlive any one client.
   }
-  if (state.stats != nullptr) {
-    state.stats->connection_closed();
-  }
+  // The client sees EOF now; the fd itself closes only after the join.
+  ::shutdown(fd, SHUT_RDWR);
+  state.stats.connection_closed();
 }
 
-/// One live (or finished-but-unjoined) handler thread.  `done` is set by
-/// the thread itself as its last act, so the accept loop can join
-/// without blocking — the reap pass below keeps the vector bounded by
-/// *concurrent* clients, not total connections served.
+/// One live (or finished-but-unjoined) handler thread and its connection.
+/// `done` is set by the thread itself as its last act, so the accept loop
+/// can join without blocking — the reap pass below keeps the vector
+/// bounded by *concurrent* clients, not total connections served.  The
+/// slot owns the fd and closes it only after the join, so the drain's
+/// shutdown() can never hit a descriptor number the kernel has reused.
 struct ClientSlot {
+  ScopedFd fd;
   std::thread thread;
   std::unique_ptr<std::atomic<bool>> done;
 };
@@ -447,24 +426,12 @@ struct ClientSlot {
 }  // namespace
 
 ServeReport serve(Session& session, const ServerConfig& cfg,
-                  obs::CancellationToken& cancel) {
+                  obs::ServeStats& stats, obs::CancellationToken& cancel) {
   const ScopedFd listener = unix_listen(cfg.socket_path, cfg.backlog);
-  ServeState state;
-  state.session = &session;
-  state.stats = cfg.stats;
-  std::optional<PointBatcher> batcher;
-  if (cfg.batch_max > 0) {
-    PointBatcher::Config bcfg;
-    bcfg.max_points = cfg.batch_max;
-    bcfg.window_us = cfg.batch_window_us;
-    batcher.emplace(session, state.session_mutex, bcfg, cfg.stats);
-    state.batcher = &*batcher;
-  }
-  if (state.stats != nullptr) {
-    // Seed the mirror so a stats poll before any traffic still reports
-    // the cache's real capacity and (empty) occupancy.
-    state.stats->note_cache(cache_mirror_of(session));
-  }
+  ServeState state{session, stats};
+  // Seed the mirror so a stats poll before any traffic still reports the
+  // cache's real capacity and (empty) occupancy.
+  stats.note_cache(cache_mirror_of(session));
   ServeReport report;
   std::vector<ClientSlot> clients;
   std::vector<std::uint64_t> tick_last(cfg.ticks.size(), obs::monotonic_ns());
@@ -491,14 +458,13 @@ ServeReport serve(Session& session, const ServerConfig& cfg,
     // Reap finished handlers: their `done` flag is already set, so the
     // join is instant.  Without this, a long-lived daemon accumulates
     // one unjoined thread per connection it ever served.
-    for (auto it = clients.begin(); it != clients.end();) {
-      if (it->done->load(std::memory_order_acquire)) {
-        it->thread.join();
-        it = clients.erase(it);
-      } else {
-        ++it;
+    std::erase_if(clients, [](ClientSlot& slot) {
+      if (!slot.done->load(std::memory_order_acquire)) {
+        return false;
       }
-    }
+      slot.thread.join();
+      return true;
+    });
     if (!poll_readable(listener.get(), kPollMs)) {
       continue;
     }
@@ -519,28 +485,32 @@ ServeReport serve(Session& session, const ServerConfig& cfg,
       continue;
     }
     accept_failing = false;
-    ++report.connections;
     ClientSlot slot;
+    slot.fd = std::move(conn);
     slot.done = std::make_unique<std::atomic<bool>>(false);
-    std::atomic<bool>* done = slot.done.get();
-    slot.thread = std::thread([&state, done, fd = std::move(conn)]() mutable {
-      client_loop(state, std::move(fd));
+    slot.thread = std::thread([&state, fd = slot.fd.get(), done = slot.done.get()] {
+      client_loop(state, fd);
       done->store(true, std::memory_order_release);
     });
     clients.push_back(std::move(slot));
-    if (clients.size() > report.peak_threads) {
-      report.peak_threads = clients.size();
-    }
+    report.peak_threads = std::max<std::uint64_t>(report.peak_threads, clients.size());
   }
-  // Graceful drain: no new connections, let handlers finish the request
-  // in flight (they notice `draining` at their next poll tick), join all.
+  // Graceful drain: no new connections.  Shutting down each client's read
+  // side turns a read blocked mid-frame (a stalled client) into EOF, while
+  // a handler with a request in flight can still write its answer; every
+  // handler then sees `draining` or EOF and exits, and is joined.
   state.draining.store(true, std::memory_order_relaxed);
+  for (const ClientSlot& slot : clients) {
+    ::shutdown(slot.fd.get(), SHUT_RD);
+  }
   for (ClientSlot& slot : clients) {
     slot.thread.join();
   }
   ::unlink(cfg.socket_path.c_str());
-  report.requests = state.requests.load();
-  report.errors = state.errors.load();
+  const obs::ServeStatsSnapshot snap = stats.snapshot(/*advance_baseline=*/false);
+  report.connections = snap.connections_total;
+  report.requests = snap.requests_total;
+  report.errors = snap.errors_total;
   return report;
 }
 

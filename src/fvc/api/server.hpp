@@ -9,19 +9,25 @@
 /// concurrent clients deterministic: every request sees a consistent
 /// deployment digest, and interleaved what-if edits cannot tear a query.
 ///
-/// Point work additionally rides a group-commit batcher (batch.hpp):
-/// concurrent `point` / `points` requests coalesce into single
-/// SIMD-kernel rounds instead of paying one session-mutex hand-off and
-/// one engine dispatch each.  Disable with `batch_max = 0` (every op
-/// then takes the classic per-request path through `handle_query`).
-/// Batching never changes answers — only scheduling (see batch.hpp for
-/// the bit-identity argument).
+/// Point work (`point` / `points`) always rides the group-commit batcher
+/// (batch.hpp): concurrent requests coalesce into single SIMD-kernel
+/// rounds of at most 256 points instead of paying one session-mutex
+/// hand-off and one engine dispatch each.  Batching never changes
+/// answers — only scheduling (see batch.hpp for the bit-identity
+/// argument); the in-process `handle_query` answers the same ops
+/// directly and is the reference the served bytes are tested against.
+///
+/// Every request is booked once, in the `obs::ServeStats` registry the
+/// caller hands to `serve()`; the drain report is read off its final
+/// snapshot.
 ///
 /// Shutdown is cooperative: the accept loop polls the cancellation token
 /// (the CLI's SIGINT trampoline trips it), stops accepting, then drains —
-/// handler threads notice the stop flag at their next poll tick, finish
-/// the request in flight, and join.  The CLI layer then exits 130 with
-/// the final metrics flush, like every other cancelled command.
+/// it shuts down the read side of every client socket, so a handler
+/// blocked mid-frame on a stalled client reads EOF at once, while a
+/// handler with a request in flight still writes its answer; then every
+/// handler is joined.  The CLI layer then exits 130 with the final
+/// metrics flush, like every other cancelled command.
 ///
 /// Error policy per connection: a malformed body (bad JSON, missing
 /// field, unknown op) gets an `ok:false` response and the connection
@@ -58,20 +64,12 @@ struct PeriodicTask {
 struct ServerConfig {
   std::string socket_path;  ///< AF_UNIX path to listen on
   int backlog = 16;         ///< listen(2) backlog
-  /// Live telemetry registry (null = no recording, `stats` verb answers
-  /// ok:false).  Not owned; must outlive serve().
-  obs::ServeStats* stats = nullptr;
-  std::vector<PeriodicTask> ticks;  ///< periodic tasks (see PeriodicTask)
-  /// Max points per group-commit kernel round (see batch.hpp).  0
-  /// disables the batcher entirely: every op takes the classic
-  /// per-request path — the honest unbatched baseline for benchmarks.
-  std::size_t batch_max = 256;
-  /// Leader linger (µs) once a round has >= 2 waiters; 0 drains
-  /// immediately.  A lone request never waits on the window.
-  std::uint64_t batch_window_us = 0;
+  std::vector<PeriodicTask> ticks{};  ///< periodic tasks (see PeriodicTask)
 };
 
-/// Accounting the daemon reports after draining.
+/// Accounting the daemon reports after draining.  `connections`,
+/// `requests` and `errors` are the telemetry registry's totals at drain
+/// (so a registry fresh per run gives this run's counts).
 struct ServeReport {
   std::uint64_t connections = 0;
   std::uint64_t requests = 0;
@@ -82,27 +80,25 @@ struct ServeReport {
   std::uint64_t peak_threads = 0;
 };
 
+/// The session's tile-cache counters packaged for the telemetry mirror
+/// (`obs::ServeStats::note_cache`).  Callers hold the session mutex.
+[[nodiscard]] obs::CacheMirror cache_mirror_of(const Session& session);
+
 /// Answer one fvc.query/1 request body against `session`, returning the
-/// response body.  Pure request->response logic, shared by the daemon
-/// and the protocol tests; never throws (failures become ok:false).
-/// `stats` backs the `stats` verb (null answers it ok:false) and is
-/// *only read* here — recording happens in the serve loop, after the
-/// handler returns, so a `stats` snapshot never counts the request that
-/// asked for it.  When `type_out` is non-null it receives the request's
-/// telemetry class (obs::ReqType::kOther for anything that failed to
-/// parse), classified from the op actually dispatched — never a second
-/// parse.
+/// response body.  Pure request->response logic — the in-process
+/// reference the daemon's answers are tested against; never throws
+/// (failures become ok:false).  `stats` backs the `stats` verb (null
+/// answers it ok:false) and is *only read* here.
 [[nodiscard]] std::string handle_query(Session& session, std::string_view body,
-                                       obs::ServeStats* stats,
-                                       obs::ReqType* type_out = nullptr);
-/// Statsless form (embedded use and the golden protocol tests).
-[[nodiscard]] std::string handle_query(Session& session, std::string_view body);
+                                       obs::ServeStats* stats = nullptr);
 
 /// Run the daemon until `cancel` trips: bind `cfg.socket_path`, accept
-/// and serve concurrent clients against `session`, then drain and
-/// return the accounting.  \throws std::runtime_error when the socket
-/// cannot be bound.
+/// and serve concurrent clients against `session`, recording every
+/// request into `stats` (which also backs the `stats` verb), then drain
+/// and return the accounting.  `stats` must outlive the call.
+/// \throws std::runtime_error when the socket cannot be bound.
 [[nodiscard]] ServeReport serve(Session& session, const ServerConfig& cfg,
+                                obs::ServeStats& stats,
                                 obs::CancellationToken& cancel);
 
 }  // namespace fvc::api

@@ -35,8 +35,9 @@
 /// it).
 ///
 /// A Session is NOT thread-safe (queries mutate the cache and metrics);
-/// the serve layer serializes access and keeps parallelism *inside* each
-/// region query, where missing tiles are evaluated concurrently through
+/// the serve layer serializes access under one mutex (the point batcher
+/// takes it once per round) and keeps parallelism *inside* each region
+/// query, where missing tiles are evaluated concurrently through
 /// `sim::parallel_for_blocked` into the SIMD kernel.
 ///
 /// The metrics node exported at construction carries the engine's index
@@ -141,7 +142,9 @@ class Session {
   /// telemetry plane and the CLI's end-of-run table.
   [[nodiscard]] const TileCacheStats& cache_stats() const { return cache_.stats(); }
 
-  /// Point query at (x, y): `query_points` of one point.
+  /// Point query at (x, y): `query_points` of one point.  The in-process
+  /// `handle_query` path; the daemon answers every served point through
+  /// `query_points` instead, in group-commit rounds.
   /// \throws PointDomainError outside [0, 1]^2
   [[nodiscard]] PointAnswer query_point(double x, double y);
 
@@ -149,8 +152,9 @@ class Session {
   /// engine's fused kernel path (`GridEvalEngine::eval_point` — one
   /// candidate gather and one sort per point, SIMD classify, zero heap
   /// allocations after warm-up) into `out[0..n)`.  This is the serve
-  /// daemon's group-commit target: one call amortises dispatch over a
-  /// whole batch of concurrent clients' points.
+  /// daemon's only point entry: each group-commit round (batch.hpp) is
+  /// one call, amortising dispatch over up to 256 points from
+  /// concurrent clients.
   /// \throws PointDomainError when any point lies outside [0, 1]^2;
   /// nothing is evaluated then.
   void query_points(const double* xs, const double* ys, std::size_t n,

@@ -618,23 +618,6 @@ int cmd_serve(CommandContext& ctx) {
   }
   api::ServerConfig cfg;
   cfg.socket_path = socket_path;
-  cfg.stats = &stats;
-  cfg.batch_max = args.get_size("batch-max", 256);
-  cfg.batch_window_us = args.get_size("batch-window-us", 0);
-  // The tile-cache mirror refresh for the periodic Prometheus export;
-  // runs under the session mutex like every tick (see PeriodicTask).
-  const auto refresh_cache_mirror = [&session, &stats] {
-    const api::TileCacheStats& cs = session.cache_stats();
-    obs::CacheMirror m;
-    m.hits = cs.hits;
-    m.misses = cs.misses;
-    m.evictions = cs.evictions;
-    m.carried_forward = cs.carried_forward;
-    m.tiles = session.cache().size();
-    m.capacity = session.cache().capacity();
-    m.bytes = session.cache().approx_bytes();
-    stats.note_cache(m);
-  };
   if (metrics_every_ms > 0) {
     const std::string metrics_path = args.get_string("metrics", "");
     cfg.ticks.push_back(
@@ -643,8 +626,10 @@ int cmd_serve(CommandContext& ctx) {
          }});
   }
   if (!prom_path.empty()) {
-    cfg.ticks.push_back({prom_every_ms, [&stats, &refresh_cache_mirror, prom_path] {
-                           refresh_cache_mirror();
+    // Runs under the session mutex like every tick (see PeriodicTask), so
+    // it may refresh the tile-cache mirror first.
+    cfg.ticks.push_back({prom_every_ms, [&stats, &session, prom_path] {
+                           stats.note_cache(api::cache_mirror_of(session));
                            // The export must not move a stats poller's
                            // deltas, so it never advances the baseline.
                            obs::write_prometheus_file_atomic(
@@ -658,7 +643,7 @@ int cmd_serve(CommandContext& ctx) {
   const api::ServeReport report = [&] {
     obs::MetricsNode& node = ctx.root().child("serve");
     obs::Span span(node);
-    api::ServeReport r = api::serve(session, cfg, ctx.cancel());
+    api::ServeReport r = api::serve(session, cfg, stats, ctx.cancel());
     node.set("connections", static_cast<double>(r.connections));
     node.set("requests", static_cast<double>(r.requests));
     node.set("errors", static_cast<double>(r.errors));
@@ -666,7 +651,7 @@ int cmd_serve(CommandContext& ctx) {
   }();
   if (!prom_path.empty()) {
     // Final export so the file reflects the whole run, drain included.
-    refresh_cache_mirror();
+    stats.note_cache(api::cache_mirror_of(session));
     obs::write_prometheus_file_atomic(prom_path,
                                       stats.snapshot(/*advance_baseline=*/false));
   }

@@ -1,7 +1,8 @@
-/// Group-commit batching tests: the `points` wire verb, batched-vs-
-/// sequential bit-identity under concurrent clients, batch-budget edge
-/// cases, drain-mid-batch flushing, and the serve-loop lifecycle fixes
-/// (poll_readable error revents, handler-thread reaping).
+/// Group-commit batching tests: the `points` wire verb, served-vs-
+/// in-process bit-identity under concurrent clients, the fixed round
+/// budget, drain-mid-batch flushing, and the serve-loop lifecycle fixes
+/// (poll_readable error revents, handler-thread reaping, drain past a
+/// stalled client).
 
 #include "fvc/api/server.hpp"
 
@@ -13,11 +14,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "fvc/api/batch.hpp"
 #include "fvc/api/client.hpp"
 #include "fvc/api/session.hpp"
 #include "fvc/api/socket_io.hpp"
@@ -60,6 +64,20 @@ api::SessionConfig lattice_config() {
   return cfg;
 }
 
+/// The lattice deployment on a 512^2 grid with a one-tile cache: every
+/// whole-grid `region` recomputes all 32 tiles, so it holds the session
+/// mutex long enough for point waiters to pile up behind it.
+api::SessionConfig lock_holder_config() {
+  api::SessionConfig cfg = lattice_config();
+  cfg.grid_side = 512;
+  cfg.tile_rows = 16;
+  cfg.cache_tiles = 1;
+  return cfg;
+}
+
+constexpr const char* kWholeGridRegion =
+    "{\"op\":\"region\",\"y_lo\":0,\"y_hi\":1}";
+
 /// Query points exercising bin interiors, bin boundaries, and the domain
 /// corners — the places an index lookup could disagree with the oracle.
 void probe_points(std::vector<double>& xs, std::vector<double>& ys) {
@@ -96,22 +114,13 @@ api::Client connect_with_retry(const std::string& path) {
   }
 }
 
-/// A live daemon with caller-chosen batch knobs, drained on destruction.
+/// A live daemon with its own telemetry registry, drained on destruction.
 class BatchServeFixture {
  public:
-  BatchServeFixture(api::Session& session, const char* tag,
-                    std::size_t batch_max, std::uint64_t batch_window_us,
-                    obs::ServeStats* stats = nullptr)
-      : path_(unique_socket_path(tag)) {
-    api::ServerConfig cfg;
-    cfg.socket_path = path_;
-    cfg.stats = stats;
-    cfg.batch_max = batch_max;
-    cfg.batch_window_us = batch_window_us;
-    thread_ = std::thread([this, &session, cfg] {
-      report_ = api::serve(session, cfg, token_);
-    });
-  }
+  BatchServeFixture(api::Session& session, const char* tag)
+      : path_(unique_socket_path(tag)), thread_([this, &session] {
+          report_ = api::serve(session, {path_, 16}, stats_, token_);
+        }) {}
 
   ~BatchServeFixture() { drain(); }
 
@@ -123,14 +132,37 @@ class BatchServeFixture {
   }
 
   [[nodiscard]] const std::string& path() const { return path_; }
+  [[nodiscard]] obs::ServeStats& stats() { return stats_; }
   [[nodiscard]] const api::ServeReport& report() const { return report_; }
 
  private:
   std::string path_;
+  obs::ServeStats stats_;
   obs::CancellationToken token_;
   api::ServeReport report_;
   std::thread thread_;
 };
+
+/// Poll `done` every millisecond for up to `timeout`; returns its last value.
+template <typename Pred>
+bool wait_for(Pred done, std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+std::string point_request(double x, double y) {
+  api::JsonObjectWriter w;
+  w.add_string("op", "point");
+  w.add_number("x", x);
+  w.add_number("y", y);
+  return w.finish();
+}
 
 /// Parse a `points` response into per-point answers (fails the test on
 /// ok:false or ragged arrays).
@@ -259,17 +291,17 @@ TEST(PointsVerb, MaxSizeRequestFitsTheFrameBudget) {
 // --- Batched daemon: concurrency, bit-identity, telemetry ------------------
 
 /// N concurrent clients mixing `point`, `points`, and (no-op) `what_if`
-/// rounds against a batching daemon: every answer must equal the one a
-/// fresh unbatched session computes for the same coordinates.
+/// rounds against the daemon, whose point work always rides the batcher:
+/// every answer must equal the one a fresh in-process session computes
+/// for the same coordinates.
 TEST(BatchServe, ConcurrentAnswersAreBitIdenticalToUnbatched) {
   api::Session session(lattice_config());
-  obs::ServeStats stats;
   constexpr std::size_t kClients = 4;
   constexpr std::size_t kRounds = 24;
   std::vector<std::vector<std::string>> replies(kClients);
+  obs::ServeStatsSnapshot snap;
   {
-    BatchServeFixture daemon(session, "batch_ident", /*batch_max=*/64,
-                             /*batch_window_us=*/200, &stats);
+    BatchServeFixture daemon(session, "batch_ident");
     std::vector<std::thread> workers;
     for (std::size_t c = 0; c < kClients; ++c) {
       workers.emplace_back([&, c] {
@@ -287,11 +319,7 @@ TEST(BatchServe, ConcurrentAnswersAreBitIdenticalToUnbatched) {
             const std::vector<double> ys = {y, 1.0 - y, y};
             replies[c].push_back(client.request(api::points_request(xs, ys)));
           } else {
-            api::JsonObjectWriter w;
-            w.add_string("op", "point");
-            w.add_number("x", x);
-            w.add_number("y", y);
-            replies[c].push_back(client.request(w.finish()));
+            replies[c].push_back(client.request(point_request(x, y)));
           }
         }
       });
@@ -299,8 +327,10 @@ TEST(BatchServe, ConcurrentAnswersAreBitIdenticalToUnbatched) {
     for (std::thread& t : workers) {
       t.join();
     }
+    daemon.drain();
+    snap = daemon.stats().snapshot(false);
   }
-  // Replay every round against a fresh, unbatched session.
+  // Replay every round against a fresh in-process session.
   api::Session oracle(lattice_config());
   std::uint64_t expected_points = 0;
   for (std::size_t c = 0; c < kClients; ++c) {
@@ -338,32 +368,62 @@ TEST(BatchServe, ConcurrentAnswersAreBitIdenticalToUnbatched) {
   }
   // Every point/points request went through the batcher: rounds and the
   // per-round point totals are deterministic even when coalescing isn't.
-  const obs::ServeStatsSnapshot snap = stats.snapshot(false);
   EXPECT_GT(snap.batch_rounds, 0u);
   EXPECT_EQ(snap.batch_points, expected_points);
 }
 
-/// A tight batch budget still answers everything: arrays bigger than
-/// `batch_max` run alone, smaller waiters never starve.
+/// The fixed 256-point round budget still answers everything, bit for
+/// bit: arrays bigger than the budget run alone (the head waiter is taken
+/// whole), and 100-point arrays split across rounds (three never fit one
+/// round) without starving.  A client looping whole-grid regions holds
+/// the session mutex so waiters pile up behind it.
 TEST(BatchServe, TinyBatchBudgetStillAnswersEverything) {
-  api::Session session(lattice_config());
-  BatchServeFixture daemon(session, "batch_budget", /*batch_max=*/2,
-                           /*batch_window_us=*/0);
-  api::Session oracle(lattice_config());
+  static_assert(api::PointBatcher::kMaxRoundPoints == 256);
+  api::Session session(lock_holder_config());
+  BatchServeFixture daemon(session, "batch_budget");
+  const std::size_t sizes[] = {300, 300, 100, 100, 100};
+  constexpr int kRounds = 4;
+  std::vector<std::vector<double>> xs(std::size(sizes));
+  std::vector<std::vector<double>> ys(std::size(sizes));
+  std::vector<std::vector<api::PointAnswer>> want(std::size(sizes));
+  api::Session oracle(lock_holder_config());
+  std::uint64_t expected_points = 0;
+  for (std::size_t c = 0; c < std::size(sizes); ++c) {
+    for (std::size_t i = 0; i < sizes[c]; ++i) {
+      xs[c].push_back(0.001 * static_cast<double>((i * 37 + c * 101) % 1000));
+      ys[c].push_back(0.001 * static_cast<double>((i * 53 + c * 17) % 1000));
+    }
+    want[c].resize(sizes[c]);
+    oracle.query_points(xs[c].data(), ys[c].data(), sizes[c], want[c].data());
+    expected_points += kRounds * sizes[c];
+  }
+  std::atomic<bool> points_done{false};
+  std::thread holder([&] {
+    api::Client client = connect_with_retry(daemon.path());
+    while (!points_done.load()) {
+      EXPECT_EQ(client.request(kWholeGridRegion).rfind("{\"ok\":true", 0), 0u);
+    }
+  });
   std::vector<std::thread> workers;
-  std::atomic<int> failures{0};
-  for (int c = 0; c < 3; ++c) {
+  std::atomic<int> mismatches{0};
+  for (std::size_t c = 0; c < std::size(sizes); ++c) {
     workers.emplace_back([&, c] {
       api::Client client = connect_with_retry(daemon.path());
-      // 5 points per request, over a 2-point budget: the head waiter is
-      // taken whole every round.
-      const std::vector<double> xs = {0.1 + 0.01 * c, 0.3, 0.5, 0.7, 0.9};
-      const std::vector<double> ys = {0.2, 0.4 + 0.01 * c, 0.6, 0.8, 0.95};
-      for (int r = 0; r < 10; ++r) {
-        const std::vector<api::PointAnswer> got =
-            parse_points_response(client.request(api::points_request(xs, ys)));
-        if (got.size() != xs.size()) {
-          failures.fetch_add(1);
+      for (int r = 0; r < kRounds; ++r) {
+        const std::vector<api::PointAnswer> got = parse_points_response(
+            client.request(api::points_request(xs[c], ys[c])));
+        if (got.size() != sizes[c]) {
+          mismatches.fetch_add(1);
+          continue;
+        }
+        for (std::size_t i = 0; i < sizes[c]; ++i) {
+          if (got[i].covered != want[c][i].covered ||
+              got[i].necessary != want[c][i].necessary ||
+              got[i].sufficient != want[c][i].sufficient ||
+              got[i].max_gap != want[c][i].max_gap ||
+              got[i].covering_count != want[c][i].covering_count) {
+            mismatches.fetch_add(1);
+          }
         }
       }
     });
@@ -371,36 +431,32 @@ TEST(BatchServe, TinyBatchBudgetStillAnswersEverything) {
   for (std::thread& t : workers) {
     t.join();
   }
-  EXPECT_EQ(failures.load(), 0);
-  // Spot-check one answer set against the oracle.
-  api::Client client = connect_with_retry(daemon.path());
-  const std::vector<double> xs = {0.25, 0.75};
-  const std::vector<double> ys = {0.25, 0.75};
-  const std::vector<api::PointAnswer> got =
-      parse_points_response(client.request(api::points_request(xs, ys)));
-  ASSERT_EQ(got.size(), 2u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    expect_same_answer(got[i], oracle.query_point(xs[i], ys[i]), i);
-  }
+  points_done.store(true);
+  holder.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const obs::ServeStatsSnapshot snap = daemon.stats().snapshot(false);
+  EXPECT_EQ(snap.batch_points, expected_points);
+  // No round ever merged two waiters past the budget: at most one round
+  // per request, and at least one per 300-point request (those never share).
+  EXPECT_LE(snap.batch_rounds, kRounds * std::size(sizes));
+  EXPECT_GE(snap.batch_rounds, 2u * kRounds);
 }
 
 /// Draining mid-batch flushes every in-flight waiter with an answer —
-/// a client never sees EOF in place of a response it was owed.
+/// a client never sees EOF in place of a response it was owed.  A client
+/// looping whole-grid regions holds the session mutex, so point waiters
+/// are queued in the batcher when the drain lands.
 TEST(BatchServe, DrainMidBatchFlushesWaitersWithAnswers) {
-  api::Session session(lattice_config());
-  auto daemon = std::make_unique<BatchServeFixture>(
-      session, "batch_drain", /*batch_max=*/64, /*batch_window_us=*/5000);
+  api::Session session(lock_holder_config());
+  auto daemon = std::make_unique<BatchServeFixture>(session, "batch_drain");
   std::vector<std::thread> workers;
   std::atomic<int> truncated{0};
   std::atomic<bool> stop{false};
-  for (int c = 0; c < 4; ++c) {
+  for (int c = 0; c < 5; ++c) {
     workers.emplace_back([&, c] {
       api::Client client = connect_with_retry(daemon->path());
-      api::JsonObjectWriter w;
-      w.add_string("op", "point");
-      w.add_number("x", 0.2 + 0.1 * c);
-      w.add_number("y", 0.3);
-      const std::string body = w.finish();
+      const std::string body =
+          c == 0 ? std::string(kWholeGridRegion) : point_request(0.1 + 0.1 * c, 0.3);
       while (!stop.load(std::memory_order_relaxed)) {
         std::optional<std::string> reply;
         try {
@@ -426,22 +482,76 @@ TEST(BatchServe, DrainMidBatchFlushesWaitersWithAnswers) {
   EXPECT_EQ(truncated.load(), 0);
 }
 
-/// batch_max = 0 disables the batcher: the daemon still answers `points`
-/// (through the classic serialized path).
-TEST(BatchServe, DisabledBatcherStillServesPointsVerb) {
-  api::Session session(lattice_config());
-  BatchServeFixture daemon(session, "batch_off", /*batch_max=*/0,
-                           /*batch_window_us=*/0);
-  api::Client client = connect_with_retry(daemon.path());
-  const std::vector<double> xs = {0.25, 0.8};
-  const std::vector<double> ys = {0.3, 0.9};
-  const std::vector<api::PointAnswer> got =
-      parse_points_response(client.request(api::points_request(xs, ys)));
-  ASSERT_EQ(got.size(), 2u);
-  api::Session oracle(lattice_config());
-  for (std::size_t i = 0; i < 2; ++i) {
-    expect_same_answer(got[i], oracle.query_point(xs[i], ys[i]), i);
+/// A client that sends half a length prefix and stalls pins its handler
+/// in a blocking read.  Drain must not wait for it: the daemon shuts down
+/// every client's read side, so the stalled read returns EOF at once,
+/// while a `point` queued behind a whole-grid region still gets its
+/// answer.
+TEST(BatchServe, StalledPartialFrameDoesNotBlockDrain) {
+  using std::chrono::milliseconds;
+  using Clock = std::chrono::steady_clock;
+  api::Session session(lock_holder_config());
+  auto daemon = std::make_unique<BatchServeFixture>(session, "batch_stall");
+  api::Client stalled = connect_with_retry(daemon->path());
+  const unsigned char half_prefix[2] = {0, 0};
+  ASSERT_EQ(::send(stalled.fd(), half_prefix, sizeof half_prefix, MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof half_prefix));
+
+  api::Client region_client = connect_with_retry(daemon->path());
+  api::Client point_client = connect_with_retry(daemon->path());
+  obs::ServeStats& stats = daemon->stats();
+  const auto in_flight = [&stats] { return stats.snapshot(false).in_flight; };
+  std::string region_reply;
+  std::string point_reply;
+  std::atomic<bool> point_done{false};
+  Clock::time_point region_answered;
+  // A failed exchange lands in the reply string, so the checks below
+  // report it instead of the throw ending the test binary.
+  const auto exchange = [](api::Client& client, const std::string& body) {
+    try {
+      return client.request(body);
+    } catch (const std::exception& e) {
+      return std::string(e.what());
+    }
+  };
+  std::thread region([&] {
+    region_reply = exchange(region_client, kWholeGridRegion);
+    region_answered = Clock::now();
+  });
+  // EXPECT, not ASSERT, from here on: the threads must be joined.
+  EXPECT_TRUE(wait_for([&] { return in_flight() >= 1; }, milliseconds(5000)));
+  std::thread point([&] {
+    point_reply = exchange(point_client, point_request(0.45, 0.55));
+    point_done.store(true);
+  });
+  // Once both are counted in flight (or the point already has its answer),
+  // the daemon has read the point: the drain owes it a response.
+  EXPECT_TRUE(wait_for([&] { return point_done.load() || in_flight() >= 2; },
+                       milliseconds(5000)));
+
+  const Clock::time_point drain_start = Clock::now();
+  std::future<void> drained =
+      std::async(std::launch::async, [&daemon] { daemon->drain(); });
+  const bool finished = drained.wait_for(std::chrono::seconds(5)) ==
+                        std::future_status::ready;
+  const Clock::time_point drain_end = Clock::now();
+  if (!finished) {
+    // The wedge this test guards against: hang up so the daemon can exit.
+    ::shutdown(stalled.fd(), SHUT_RDWR);
+    drained.wait();
   }
+  region.join();
+  point.join();
+  ASSERT_TRUE(finished) << "drain blocked on the stalled client";
+  // The drain waits for in-flight work, never for the stalled client: it
+  // ends within a poll tick or so of the region's answer.
+  const Clock::time_point busy_until = std::max(drain_start, region_answered);
+  EXPECT_LT(drain_end - busy_until, milliseconds(1000));
+  EXPECT_EQ(point_reply.rfind("{\"ok\":true", 0), 0u) << point_reply;
+  EXPECT_EQ(region_reply.rfind("{\"ok\":true", 0), 0u) << region_reply;
+  // The stalled connection was dropped, not answered.
+  EXPECT_FALSE(api::read_frame(stalled.fd()).has_value());
+  EXPECT_EQ(daemon->report().connections, 3u);
 }
 
 // --- Lifecycle fixes -------------------------------------------------------
@@ -487,8 +597,7 @@ TEST(BatchServe, SequentialConnectionsKeepThreadCountBounded) {
   constexpr std::size_t kConnections = 24;
   api::ServeReport report;
   {
-    BatchServeFixture daemon(session, "thread_reap", /*batch_max=*/64,
-                             /*batch_window_us=*/0);
+    BatchServeFixture daemon(session, "thread_reap");
     for (std::size_t i = 0; i < kConnections; ++i) {
       api::Client client = connect_with_retry(daemon.path());
       const std::string reply = client.request("{\"op\":\"info\"}");

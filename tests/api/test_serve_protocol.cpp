@@ -22,6 +22,7 @@
 #include "fvc/api/wire.hpp"
 #include "fvc/geometry/angle.hpp"
 #include "fvc/obs/cancellation.hpp"
+#include "fvc/obs/serve_stats.hpp"
 
 namespace fvc {
 namespace {
@@ -77,7 +78,7 @@ class ServeFixture {
  public:
   explicit ServeFixture(api::Session& session, const char* tag)
       : path_(unique_socket_path(tag)), thread_([this, &session] {
-          report_ = api::serve(session, {path_, 16}, token_);
+          report_ = api::serve(session, {path_, 16}, stats_, token_);
         }) {}
 
   ~ServeFixture() { drain(); }
@@ -94,6 +95,7 @@ class ServeFixture {
 
  private:
   std::string path_;
+  obs::ServeStats stats_;
   obs::CancellationToken token_;
   api::ServeReport report_;
   std::thread thread_;

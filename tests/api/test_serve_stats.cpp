@@ -78,10 +78,7 @@ class StatsServeFixture {
  public:
   explicit StatsServeFixture(api::Session& session, const char* tag)
       : path_(unique_socket_path(tag)), thread_([this, &session] {
-          api::ServerConfig cfg;
-          cfg.socket_path = path_;
-          cfg.stats = &stats_;
-          report_ = api::serve(session, cfg, token_);
+          report_ = api::serve(session, {path_, 16}, stats_, token_);
         }) {}
 
   ~StatsServeFixture() { drain(); }

@@ -31,10 +31,7 @@
 ///      for: concurrent requests coalesce into single SIMD kernel
 ///      rounds, and the stats bracket around the phase records how many
 ///      (`batched_requests`).  Every answer is still verified
-///      bit-exactly.  With an optional second socket (a daemon started
-///      with `--batch-max 0`, everything else identical) the same
-///      closed loop runs there too, recording the unbatched baseline
-///      throughput and the speedup.
+///      bit-exactly.
 ///
 /// Around phase 3 the bench polls the daemon's `stats` verb (fvc.serve_stats/1)
 /// once before and once after the load, which buys two things: daemon-side
@@ -50,7 +47,7 @@
 ///
 /// Usage:
 ///   bench_serve <socket> [out.json] [seconds] [qps] [connections]
-///               [n] [seed] [grid_side] [unbatched_socket]
+///               [n] [seed] [grid_side]
 ///     socket     unix socket path of a running `fvc_sim serve`
 ///     out.json   output path                default BENCH_serve.json
 ///     seconds    load-phase duration        default 5
@@ -59,18 +56,16 @@
 ///     n          population size            default 300   (serve default)
 ///     seed       deployment RNG seed        default 1     (serve default)
 ///     grid_side  evaluation grid side       default 64    (serve default)
-///     unbatched_socket  optional second daemon (--batch-max 0, same
-///                deployment) for the batched-vs-unbatched comparison
 ///   radius/fov/theta/tile-rows are pinned to the serve defaults
 ///   (0.15 / 2.0 / pi/2 / 8); start the daemon accordingly.
 ///
-/// Writes a fvc.bench_serve/3 JSON record: offered vs achieved QPS,
+/// Writes a fvc.bench_serve/4 JSON record: offered vs achieved QPS,
 /// client-side latency percentiles (measured from the *scheduled* send
 /// time, so queueing delay is charged to the daemon), per-op counts,
 /// daemon-side percentiles and cache hit rate from the `stats` verb, the
 /// accounting check, the batched-load section (closed-loop point
-/// throughput, batch telemetry deltas, optional unbatched baseline and
-/// speedup), and the mismatch counters the CI smoke leg gates on.
+/// throughput and batch telemetry deltas), and the mismatch counters the
+/// CI smoke leg gates on.
 ///
 /// Exit status: 0 on success; 1 on bad usage, preflight disagreement,
 /// any bit-identity mismatch, any error response, a lost connection, or a
@@ -373,7 +368,7 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: bench_serve <socket> [out.json] [seconds] [qps] "
-                 "[connections] [n] [seed] [grid_side] [unbatched_socket]\n");
+                 "[connections] [n] [seed] [grid_side]\n");
     return 1;
   }
   const std::string socket_path = argv[1];
@@ -386,7 +381,6 @@ int main(int argc, char** argv) {
   const std::size_t seed = argc > 7 ? static_cast<std::size_t>(std::atoll(argv[7])) : 1;
   const std::size_t grid_side =
       argc > 8 ? static_cast<std::size_t>(std::atoll(argv[8])) : 64;
-  const std::string unbatched_socket = argc > 9 ? argv[9] : "";
   if (seconds <= 0.0 || qps <= 0.0 || n == 0 || grid_side == 0) {
     std::fprintf(stderr, "bench_serve: seconds/qps/n/grid_side must be positive\n");
     return 1;
@@ -756,37 +750,7 @@ int main(int argc, char** argv) {
       batched.p99_us, static_cast<unsigned long long>(batched.mismatches),
       d_batched_requests, d_batch_rounds);
 
-  // Optional unbatched baseline: the same closed loop against a daemon
-  // started with --batch-max 0 (and otherwise identical flags).
-  ClosedLoopResult unbatched;
-  bool have_unbatched = false;
-  if (!unbatched_socket.empty()) {
-    try {
-      api::Client probe(unbatched_socket);
-      const api::WireObject info =
-          api::parse_flat_object(probe.request("{\"op\":\"info\"}"));
-      if (!api::get_bool(info, "ok") ||
-          api::get_string(info, "digest") != digest_hex) {
-        std::fprintf(stderr,
-                     "bench_serve: unbatched daemon at %s serves a different "
-                     "deployment\n",
-                     unbatched_socket.c_str());
-        return 1;
-      }
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "bench_serve: cannot reach unbatched daemon: %s\n",
-                   e.what());
-      return 1;
-    }
-    unbatched = closed_loop_point_load(unbatched_socket, points, digest_hex,
-                                       connections, batch_seconds);
-    have_unbatched = true;
-    std::printf("unbatched baseline: %zu points (%.1f qps) — speedup %.2fx\n",
-                unbatched.answered, unbatched.qps,
-                unbatched.qps > 0.0 ? batched.qps / unbatched.qps : 0.0);
-  }
-
-  // Every request this process sent to the primary daemon, stats polls
+  // Every request this process sent to the daemon, stats polls
   // included — the count a later stats/top poll of an otherwise idle
   // daemon reports as requests_total.
   const std::uint64_t requests_issued_total =
@@ -796,14 +760,12 @@ int main(int argc, char** argv) {
   const bool ok = verify_mismatches == 0 && load_mismatches == 0 &&
                   load_errors == 0 && all.size() == total &&
                   stats_counts_match && batched.mismatches == 0 &&
-                  batched.errors == 0 &&
-                  (!have_unbatched ||
-                   (unbatched.mismatches == 0 && unbatched.errors == 0));
+                  batched.errors == 0;
   char buf[6144];
   std::snprintf(
       buf, sizeof buf,
       "{\n"
-      "  \"schema\": \"fvc.bench_serve/3\",\n"
+      "  \"schema\": \"fvc.bench_serve/4\",\n"
       "  \"bench\": \"serve_open_loop\",\n"
       "  \"digest\": \"%s\",\n"
       "  \"n\": %zu,\n"
@@ -840,9 +802,7 @@ int main(int argc, char** argv) {
       "    \"mismatches\": %llu,\n"
       "    \"errors\": %llu,\n"
       "    \"batched_requests_delta\": %.0f,\n"
-      "    \"batch_rounds_delta\": %.0f,\n"
-      "    \"unbatched_point_qps\": %.1f,\n"
-      "    \"speedup_vs_unbatched\": %.3f\n"
+      "    \"batch_rounds_delta\": %.0f\n"
       "  },\n"
       "  \"daemon\": {\n"
       "    \"stats_counts_match\": %s,\n"
@@ -879,9 +839,7 @@ int main(int argc, char** argv) {
       batched.answered, batched.qps, batched.p50_us, batched.p90_us,
       batched.p99_us, static_cast<unsigned long long>(batched.mismatches),
       static_cast<unsigned long long>(batched.errors), d_batched_requests,
-      d_batch_rounds, have_unbatched ? unbatched.qps : 0.0,
-      have_unbatched && unbatched.qps > 0.0 ? batched.qps / unbatched.qps : 0.0,
-      stats_counts_match ? "true" : "false", stats_after.requests_total,
+      d_batch_rounds, stats_counts_match ? "true" : "false", stats_after.requests_total,
       stats_after.errors_total, stats_after.point_p[0], stats_after.point_p[1],
       stats_after.point_p[2], stats_after.region_p[0], stats_after.region_p[1],
       stats_after.region_p[2], stats_after.what_if_p[0],
