@@ -58,6 +58,24 @@ detail::ClassifyFn classify_for(KernelVariant v) {
   }
 }
 
+/// Approximate-direction kernel for a dispatched variant, so one pin
+/// selects both kernels.  The scalar variant runs the portable (generic)
+/// instantiation: plain per-lane double arithmetic at the baseline ISA.
+detail::DirectionsFn directions_for(KernelVariant v) {
+  switch (v) {
+#if defined(FVC_KERNEL_AVX2)
+    case KernelVariant::kAvx2:
+      return &detail::approx_directions_avx2;
+#endif
+#if defined(FVC_KERNEL_NEON)
+    case KernelVariant::kNeon:
+      return &detail::approx_directions_neon;
+#endif
+    default:
+      return &detail::approx_directions_generic;
+  }
+}
+
 /// ccw_delta for inputs already normalized to [0, 2*pi).  Bit-identical to
 /// `geom::ccw_delta(from, to)` on that domain: there, fmod is the identity
 /// (|to - from| < 2*pi), so the only operations are the subtraction, the
@@ -74,81 +92,266 @@ inline double ccw_from_normalized(double from, double to) {
   return d;
 }
 
-/// `sectors_all_hit` of the scalar oracle, over precomputed arcs and the
-/// sorted angle buffer.  Arc containment is closed on both endpoints, as in
-/// `geom::angle_in_arc` (width is clamped to [0, 2*pi] by construction, so
-/// the oracle's width >= 2*pi fast path coincides with the comparison).
-/// Exactness of the two-candidate test: split the directions at the arc
-/// start s.  For d >= s the predicate value is fl(d - s), monotone in d, so
-/// if any such d hits then the FIRST d >= s hits; for d < s it is
-/// fl(fl(d - s) + 2*pi), also monotone, so if any such d hits then the
-/// smallest direction hits.  Testing those two candidates with the exact
-/// predicate therefore decides existence.  Partition arcs have ascending
-/// starts, so the first-candidate cursor advances monotonically and the
-/// whole check is one merged sweep.
-inline bool arcs_all_hit(std::span<const double> sorted_dirs,
-                         std::span<const geom::Arc> arcs) {
-  if (sorted_dirs.empty()) {
-    return arcs.empty();
+/// The exact emission of one covered displacement: the oracle's
+/// `normalize_angle(atan2(dy, dx) + pi)`, whose fmod is the identity on
+/// [0, 2*pi] and so reduces to the 2*pi -> 0 branch.
+inline double exact_direction(double dx, double dy) {
+  const double v = std::atan2(dy, dx) + geom::kPi;
+  return v >= geom::kTwoPi ? 0.0 : v;
+}
+
+// Margin rules of the filtered direction pipeline (derivation in
+// docs/ARCHITECTURE.md, "Filtered direction pipeline").  kEps bounds the
+// circular distance |a - e| between an approximate direction and its exact
+// emission with a factor ~200 to spare, so each rule below also absorbs the
+// few roundings (each <= ulp(2*pi) / 2 ~ 4.4e-16) its comparison meets.
+constexpr double kEps = detail::kDirectionEps;
+/// An approximate direction farther than this from every arc boundary and
+/// from the 0/2*pi seam decides its arcs: e lies within kEps of it, and the
+/// oracle's closed-arc predicate departs from real containment only within
+/// two roundings of an arc start or end.
+constexpr double kArcMargin = 2.0 * kEps;
+/// |approximate max gap - exact max gap| <= 2 * kEps plus four roundings.
+constexpr double kGapMargin = 3.0 * kEps;
+/// Every exact gap that can equal the exact max gap lies in an approximate
+/// gap within this of the approximate max.
+constexpr double kCandidateSlack = 4.0 * kEps;
+/// The exact endpoint of a candidate gap is the exact direction of one of
+/// the directions within this of the gap's approximate endpoint.
+constexpr double kClusterRadius = 2.0 * kEps;
+
+inline void set_hit(std::uint64_t* hits, std::size_t arc) {
+  hits[arc >> 6U] |= std::uint64_t{1} << (arc & 63U);
+}
+
+/// The regular arc j with starts[j] <= a < starts[j + 1], for a in
+/// [0, 2*pi).  The scaled guess is off by at most one near an arc start.
+inline std::size_t arc_index(const detail::SectorIndex& ix, double a) {
+  const std::size_t k = ix.starts.size();
+  std::size_t j = std::min(k - 1, static_cast<std::size_t>(a * ix.inv_width));
+  while (j > 0 && a < ix.starts[j]) {
+    --j;
   }
-  const double front = sorted_dirs.front();
-  std::size_t idx = 0;
-  for (const geom::Arc& arc : arcs) {
-    while (idx < sorted_dirs.size() && sorted_dirs[idx] < arc.start) {
-      ++idx;
+  while (j + 1 < k && a >= ix.starts[j + 1]) {
+    ++j;
+  }
+  return j;
+}
+
+/// Mark the arcs approximate direction `a` lies on.  False (with some arcs
+/// possibly marked) when `a` is within kArcMargin of an arc boundary or of
+/// the seam, where only the exact direction decides.  Otherwise `a` lies
+/// on at most one regular arc — the one its position in arc widths
+/// indexes, unless it sits in the remainder beyond T_k — plus possibly the
+/// extra arc, and the exact direction lies on exactly the same ones.  The
+/// regular boundaries are j * width up to a few roundings (the stored
+/// starts are fl(j * width)), which the margin absorbs.
+inline bool mark_approx(const detail::SectorIndex& ix, double a, std::uint64_t* hits) {
+  if (a < ix.seam_lo || a > geom::kTwoPi - kArcMargin) {
+    return false;  // near the seam, where arc 0 starts (and T_k may end)
+  }
+  const double u = a * ix.inv_width;
+  const auto j = static_cast<std::size_t>(u);
+  const double frac = u - static_cast<double>(j);
+  if (frac < ix.edge || frac > 1.0 - ix.edge) {
+    return false;
+  }
+  const std::size_t k = ix.starts.size();
+  if (ix.has_extra) {
+    double r = a - ix.extra_start;
+    if (r < 0.0) {
+      r += geom::kTwoPi;
     }
-    const bool hit = (idx < sorted_dirs.size() &&
-                      ccw_from_normalized(arc.start, sorted_dirs[idx]) <= arc.width) ||
-                     ccw_from_normalized(arc.start, front) <= arc.width;
-    if (!hit) {
+    if (r < kArcMargin || r > geom::kTwoPi - kArcMargin ||
+        std::abs(r - ix.width) < kArcMargin) {
       return false;
     }
+    if (r < ix.width) {
+      set_hit(hits, k);
+    }
+  }
+  if (j < k) {
+    set_hit(hits, j);
   }
   return true;
 }
 
-/// Largest circular gap of an already-sorted, normalized angle buffer.
-/// Replicates `geom::max_circular_gap_info` (which normalizes — a no-op on
-/// [0, 2*pi) inputs — sorts a copy, and scans) without the copy.
+/// Mark the arcs exact direction `e` lies on under the oracle's closed-arc
+/// predicate (`geom::angle_in_arc`, via ccw_from_normalized).  Only the
+/// arcs within a few roundings of `e` can hold it — its indexed arc, the
+/// two neighbours (circularly: arc k-1 ends at the seam where arc 0 starts)
+/// and the extra arc — because every arc is far wider than kArcMargin.
+inline void mark_exact(const detail::SectorIndex& ix, double e, std::uint64_t* hits) {
+  const std::size_t k = ix.starts.size();
+  const std::size_t j = arc_index(ix, e);
+  for (const std::size_t arc : {(j + k - 1) % k, j, (j + 1) % k}) {
+    if (ccw_from_normalized(ix.starts[arc], e) <= ix.width) {
+      set_hit(hits, arc);
+    }
+  }
+  if (ix.has_extra && ccw_from_normalized(ix.extra_start, e) <= ix.width) {
+    set_hit(hits, k);
+  }
+}
+
+/// True when every arc of the partition is marked.
+inline bool all_hit(const detail::SectorIndex& ix, const std::uint64_t* hits) {
+  const std::size_t arcs = ix.starts.size() + (ix.has_extra ? 1 : 0);
+  for (std::size_t w = 0; w + 1 < ix.words; ++w) {
+    if (hits[w] != ~std::uint64_t{0}) {
+      return false;
+    }
+  }
+  const std::size_t tail = arcs - 64 * (ix.words - 1);
+  const std::uint64_t full =
+      tail == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << tail) - 1;
+  return hits[ix.words - 1] == full;
+}
+
+/// Largest circular gap of a direction set, as the oracle's sorted scan
+/// (`geom::max_circular_gap_info`) reports it: the wrap gap
+/// 2*pi - (back - front) first, then the first strictly wider interior gap
+/// d[i+1] - d[i]; `after` is the direction the gap opens at.
 struct SortedGap {
   double width = geom::kTwoPi;
   double after = 0.0;
-  bool has_after = false;
 };
 
-inline SortedGap max_gap_sorted(std::span<const double> sorted_dirs) {
-  if (sorted_dirs.empty()) {
-    return {};
-  }
-  SortedGap g;
-  g.width = geom::kTwoPi - (sorted_dirs.back() - sorted_dirs.front());
-  g.after = sorted_dirs.back();
-  g.has_after = true;
-  for (std::size_t i = 0; i + 1 < sorted_dirs.size(); ++i) {
-    const double gap = sorted_dirs[i + 1] - sorted_dirs[i];
-    if (gap > g.width) {
-      g.width = gap;
-      g.after = sorted_dirs[i];
+/// Bucketed max gap of the approximate directions a[0, n), n >= 1, with
+/// no sort: at least 2n buckets (a power of two, >= 64) over [0, 2*pi)
+/// keep their min and max, and an occupancy bitmap visits the occupied
+/// ones in order.  The widest gap is at least 2*pi / n — over twice a
+/// bucket's width — so it opens at an occupied bucket's max and closes at
+/// the next occupied bucket's min, or wraps from the global max to the
+/// global min.
+struct BucketGaps {
+  double widest = 0.0;
+  double amin = 0.0;
+  double amax = 0.0;
+};
+
+/// fn(b) for every occupied bucket b, in ascending order.
+template <class Fn>
+inline void for_each_occupied(const std::vector<std::uint64_t>& used, Fn&& fn) {
+  for (std::size_t w = 0; w < used.size(); ++w) {
+    for (std::uint64_t bits = used[w]; bits != 0; bits &= bits - 1) {
+      fn(64 * w + static_cast<std::size_t>(std::countr_zero(bits)));
     }
   }
+}
+
+BucketGaps bucket_gaps(const double* a, std::size_t n, GridEvalScratch& scratch) {
+  const std::size_t nb = std::max<std::size_t>(64, std::bit_ceil(2 * n));
+  if (scratch.bucket_lo.size() < nb) {
+    scratch.bucket_lo.resize(nb);
+    scratch.bucket_hi.resize(nb);
+  }
+  scratch.bucket_used.assign(nb / 64, 0);
+  double* const lo = scratch.bucket_lo.data();
+  double* const hi = scratch.bucket_hi.data();
+  std::uint64_t* const used = scratch.bucket_used.data();
+  const double scale = static_cast<double>(nb) / geom::kTwoPi;
+  BucketGaps g{0.0, std::numeric_limits<double>::infinity(),
+               -std::numeric_limits<double>::infinity()};
+  for (std::size_t j = 0; j < n; ++j) {
+    const double v = a[j];
+    const std::size_t b = std::min(nb - 1, static_cast<std::size_t>(v * scale));
+    const std::uint64_t bit = std::uint64_t{1} << (b & 63U);
+    const bool seen = (used[b >> 6U] & bit) != 0;
+    lo[b] = seen ? std::min(lo[b], v) : v;
+    hi[b] = seen ? std::max(hi[b], v) : v;
+    used[b >> 6U] |= bit;
+    g.amin = std::min(g.amin, v);
+    g.amax = std::max(g.amax, v);
+  }
+  g.widest = geom::kTwoPi - (g.amax - g.amin);  // the wrap gap
+  double prev = 2.0 * geom::kTwoPi;  // before the first occupied bucket: gap < 0
+  for_each_occupied(scratch.bucket_used, [&](std::size_t b) {
+    g.widest = std::max(g.widest, lo[b] - prev);
+    prev = hi[b];
+  });
   return g;
 }
 
-inline FullViewResult full_view_from_sorted(std::span<const double> sorted_dirs,
-                                            double theta) {
-  FullViewResult res;
-  res.covering_count = sorted_dirs.size();
-  const SortedGap gap = max_gap_sorted(sorted_dirs);
-  res.max_gap = gap.width;
-  res.covered = !sorted_dirs.empty() && gap.width <= 2.0 * theta;
-  if (!res.covered) {
-    if (gap.has_after) {
-      res.witness_unsafe_direction = geom::normalize_angle(gap.after + 0.5 * gap.width);
-    } else {
-      res.witness_unsafe_direction = 0.0;
+/// u precedes v on the short arc between them (the two lie within a few
+/// kEps of each other, possibly across the seam).
+inline bool circ_before(double u, double v) {
+  return std::abs(u - v) > geom::kPi ? u > v : u < v;
+}
+
+/// The oracle's max gap and its opening direction, exactly, from the
+/// bucketed approximate gaps.  Every approximate gap within kCandidateSlack
+/// of the widest is a candidate.  Its exact endpoints are the latest exact
+/// direction among those within kClusterRadius below its approximate
+/// opening and the earliest among those within kClusterRadius above its
+/// approximate close: no other direction can be exactly adjacent to it.
+/// The candidates then replay the oracle's tie rule — the wrap gap is
+/// taken first, then the first (lowest-opening) strictly wider interior
+/// gap.
+template <class Exact>
+SortedGap exact_widest_gap(const double* a, std::size_t n, const BucketGaps& bg,
+                           GridEvalScratch& scratch, Exact&& exact) {
+  const double floor_width = bg.widest - kCandidateSlack;
+  const double* const lo = scratch.bucket_lo.data();
+  const double* const hi = scratch.bucket_hi.data();
+  std::vector<std::pair<double, double>>& cands = scratch.gap_candidates;
+  cands.clear();
+  double prev = 2.0 * geom::kTwoPi;
+  for_each_occupied(scratch.bucket_used, [&](std::size_t b) {
+    if (lo[b] - prev >= floor_width) {
+      cands.emplace_back(prev, lo[b]);
+    }
+    prev = hi[b];
+  });
+  if (geom::kTwoPi - (bg.amax - bg.amin) >= floor_width) {
+    cands.emplace_back(bg.amax, bg.amin);
+  }
+  SortedGap best;
+  bool have = false;
+  bool best_wraps = false;
+  for (const auto& [open, close] : cands) {
+    double e_lo = 0.0;
+    double e_hi = 0.0;
+    bool has_lo = false;
+    bool has_hi = false;
+    for (std::size_t j = 0; j < n; ++j) {
+      double back = open - a[j];
+      if (back < 0.0) {
+        back += geom::kTwoPi;
+      }
+      double fwd = a[j] - close;
+      if (fwd < 0.0) {
+        fwd += geom::kTwoPi;
+      }
+      const bool in_lo = back <= kClusterRadius;
+      const bool in_hi = fwd <= kClusterRadius;
+      if (!in_lo && !in_hi) [[likely]] {
+        continue;
+      }
+      const double e = exact(j);
+      if (in_lo && (!has_lo || circ_before(e_lo, e))) {
+        e_lo = e;
+        has_lo = true;
+      }
+      if (in_hi && (!has_hi || circ_before(e, e_hi))) {
+        e_hi = e;
+        has_hi = true;
+      }
+    }
+    // Exactly adjacent: an interior gap when the close follows the opening
+    // numerically, else the wrap gap from back = e_lo to front = e_hi.
+    const bool wraps = !(e_hi > e_lo);
+    SortedGap g;
+    g.after = e_lo;
+    g.width = wraps ? geom::kTwoPi - (e_lo - e_hi) : e_hi - e_lo;
+    if (!have || g.width > best.width ||
+        (g.width == best.width && (wraps || (!best_wraps && g.after < best.after)))) {
+      best = g;
+      best_wraps = wraps;
+      have = true;
     }
   }
-  return res;
+  return best;
 }
 
 }  // namespace
@@ -158,6 +361,7 @@ void GridEvalCounters::describe(obs::MetricsNode& node) const {
   node.add("candidates_total", static_cast<double>(candidates_total));
   node.add("directions_total", static_cast<double>(directions_total));
   node.add("trig_fallbacks", static_cast<double>(trig_fallbacks));
+  node.add("exact_directions", static_cast<double>(exact_directions));
   node.histogram("candidates_per_point").merge(candidates_per_point);
 }
 
@@ -168,16 +372,35 @@ GridEvalEngine::GridEvalEngine(const Network& net, const DenseGrid& grid, double
   mode_ = net.mode();
   kernel_ = resolve_kernel();
   classify_ = classify_for(kernel_);
+  directions_ = directions_for(kernel_);
   note_kernel_dispatch(kernel_);
   generation_ = next_generation();
-  necessary_arcs_ = geom::sector_partition(2.0 * theta);
-  sufficient_arcs_ = geom::sector_partition(theta);
+  necessary_ = detail::SectorIndex(2.0 * theta);
+  sufficient_ = detail::SectorIndex(theta);
   const obs::TraceScope scope("engine.build", obs::TraceCategory::kEngine,
                               "cameras", net.size());
   const std::uint64_t t0 = obs::monotonic_ns();
   compute_cells();
   build_index();
   build_ns_ = obs::monotonic_ns() - t0;
+}
+
+detail::SectorIndex::SectorIndex(double sector_angle) {
+  const std::vector<geom::Arc> arcs = geom::sector_partition(sector_angle);
+  const std::size_t k = geom::full_sector_count(geom::kTwoPi, sector_angle);
+  width = arcs.front().width;
+  inv_width = 1.0 / width;
+  edge = kArcMargin * inv_width;
+  for (std::size_t j = 0; j < k; ++j) {
+    starts.push_back(arcs[j].start);
+  }
+  // A partition the rounding rule calls exact can still end T_k up to
+  // ~6e-12 past 2*pi (the rule's 1e-12 relative tolerance): directions
+  // just past the seam then lie on T_k as well as on T_1.
+  seam_lo = kArcMargin + std::max(0.0, starts.back() + width - geom::kTwoPi);
+  has_extra = arcs.size() > k;
+  extra_start = has_extra ? arcs[k].start : 0.0;
+  words = (arcs.size() + 63) / 64;
 }
 
 void GridEvalEngine::CandSoA::resize(std::size_t n) {
@@ -572,7 +795,7 @@ std::size_t GridEvalEngine::point_candidate_count(std::size_t row, std::size_t c
 
 void GridEvalEngine::classify_entry(const CandView& view, std::size_t e,
                                     const geom::Vec2& p, GridEvalScratch& scratch,
-                                    std::vector<double>& out, double* xs, double* ys,
+                                    std::size_t& zeros, double* xs, double* ys,
                                     std::size_t& m) const {
   // The scalar oracle path, one entry at a time: displacement via the
   // per-point torus unwrap — the subtraction, `d -= round(d)`, and the
@@ -616,7 +839,7 @@ void GridEvalEngine::classify_entry(const CandView& view, std::size_t e,
       ++ctr->trig_fallbacks;
     }
     if (n2 == 0.0) {
-      out.push_back(0.0);  // point coincides with the camera
+      ++zeros;  // point coincides with the camera
       return;
     }
     const Camera& cam = net_->cameras()[view.ids[e]];
@@ -624,7 +847,7 @@ void GridEvalEngine::classify_entry(const CandView& view, std::size_t e,
         geom::angular_distance(std::atan2(dy, dx), cam.orientation) <= 0.5 * cam.fov;
   }
   if (covered & (n2 == 0.0)) [[unlikely]] {  // omni camera at the point
-    out.push_back(0.0);
+    ++zeros;
     return;
   }
   // Branchless compaction: always write, advance on coverage.
@@ -633,13 +856,12 @@ void GridEvalEngine::classify_entry(const CandView& view, std::size_t e,
   m += static_cast<std::size_t>(covered);
 }
 
-void GridEvalEngine::gather_directions(const geom::Vec2& p, const CandView& view,
-                                       GridEvalScratch& scratch) const {
-  std::vector<double>& out = scratch.angles;
+GridEvalEngine::CoveredSet GridEvalEngine::classify_span(const geom::Vec2& p,
+                                                         const CandView& view,
+                                                         GridEvalScratch& scratch) const {
   const std::size_t cnt = view.count;
   // Metrics are per point (one pointer test), never per candidate.
   GridEvalCounters* const ctr = scratch.counters;
-  const std::size_t out_before = out.size();
   if (ctr != nullptr) [[unlikely]] {
     ++ctr->points;
     ctr->candidates_total += cnt;
@@ -647,11 +869,13 @@ void GridEvalEngine::gather_directions(const geom::Vec2& p, const CandView& view
   }
   std::vector<double>& xs = scratch.dxs;
   std::vector<double>& ys = scratch.dys;
-  if (xs.size() < cnt) {
-    xs.resize(cnt);
-    ys.resize(cnt);
+  // One lane group of padding: the direction kernel reads whole groups.
+  if (xs.size() < cnt + 4) {
+    xs.resize(cnt + 4);
+    ys.resize(cnt + 4);
   }
-  std::size_t m = 0;
+  CoveredSet cs;
+  std::size_t& m = cs.displacements;
   std::size_t e = 0;
   // Lane-parallel classify over whole lane groups of the span's entries.
   // Lanes the kernel flags as special — exact-arithmetic band hits and
@@ -671,7 +895,7 @@ void GridEvalEngine::gather_directions(const geom::Vec2& p, const CandView& view
                     xs.data(), ys.data(), scratch.special.data());
       m = res.covered;
       for (std::size_t j = 0; j < res.special; ++j) {
-        classify_entry(view, scratch.special[j], p, scratch, out, xs.data(),
+        classify_entry(view, scratch.special[j], p, scratch, cs.zeros, xs.data(),
                        ys.data(), m);
       }
       e = vec_n;
@@ -680,30 +904,36 @@ void GridEvalEngine::gather_directions(const geom::Vec2& p, const CandView& view
   // Scalar path: the whole span (scalar variant), or the remainder tail
   // (vector variants).
   for (; e < cnt; ++e) {
-    classify_entry(view, e, p, scratch, out, xs.data(), ys.data(), m);
-  }
-  // atan2 (the single most expensive operation) runs in its own tight loop
-  // over the ~covered survivors instead of stalling the classify pipeline.
-  // The oracle's `normalize_angle(dir_sp + pi)` reduces to a branch because
-  // fmod is the identity on [0, 2*pi).  One resize + raw writes, so the
-  // loop carries no per-element capacity check.
-  const std::size_t base = out.size();
-  out.resize(base + m);
-  double* const emit = out.data() + base;
-  for (std::size_t j = 0; j < m; ++j) {
-    const double v = std::atan2(ys[j], xs[j]) + geom::kPi;
-    emit[j] = v >= geom::kTwoPi ? 0.0 : v;
+    classify_entry(view, e, p, scratch, cs.zeros, xs.data(), ys.data(), m);
   }
   if (ctr != nullptr) [[unlikely]] {
-    ctr->directions_total += out.size() - out_before;
+    ctr->directions_total += m + cs.zeros;
+  }
+  return cs;
+}
+
+void GridEvalEngine::gather_directions(const geom::Vec2& p, const CandView& view,
+                                       GridEvalScratch& scratch) const {
+  const CoveredSet cs = classify_span(p, view, scratch);
+  // Zero-distance hits emit exactly 0.0; every covered displacement pays
+  // one exact atan2, in its own tight loop.  One resize + raw writes, so
+  // the loop carries no per-element capacity check.
+  std::vector<double>& out = scratch.angles;
+  out.assign(cs.zeros, 0.0);
+  out.resize(cs.zeros + cs.displacements);
+  double* const emit = out.data() + cs.zeros;
+  const double* const xs = scratch.dxs.data();
+  const double* const ys = scratch.dys.data();
+  for (std::size_t j = 0; j < cs.displacements; ++j) {
+    emit[j] = exact_direction(xs[j], ys[j]);
   }
 }
 
 std::size_t GridEvalEngine::covered_count_at_least(const geom::Vec2& p,
                                                    const CandView& view,
                                                    std::size_t k) const {
-  // Coverage-count variant of gather_directions: same covered set, no
-  // atan2 on the fast path, early exit at k.
+  // Coverage-count variant of classify_span: same covered set, no atan2
+  // on the fast path, early exit at k.
   const std::span<const Camera> cams = net_->cameras();
   const bool torus = mode_ == geom::SpaceMode::kTorus;
   std::size_t count = 0;
@@ -745,7 +975,6 @@ std::size_t GridEvalEngine::covered_count_at_least(const geom::Vec2& p,
 std::span<const double> GridEvalEngine::sorted_directions(std::size_t row,
                                                           std::size_t col,
                                                           GridEvalScratch& scratch) const {
-  scratch.angles.clear();
   const geom::Vec2 p = grid_.point(row, col);
   const CandView view = row_view(row, p, scratch);
   gather_directions(p, view, scratch);
@@ -798,6 +1027,98 @@ void GridEvalEngine::sort_directions(GridEvalScratch& scratch) {
   }
 }
 
+GridEvalEngine::PointAnswer GridEvalEngine::filtered_point(const geom::Vec2& p,
+                                                           const CandView& view,
+                                                           GridEvalScratch& scratch,
+                                                           unsigned want) const {
+  const CoveredSet cs = classify_span(p, view, scratch);
+  const std::size_t m = cs.displacements;
+  const std::size_t n = m + cs.zeros;
+  PointAnswer ans;
+  ans.count = n;
+  ans.max_gap = geom::kTwoPi;
+  if (n == 0) {
+    return ans;  // no direction: no arc hit, no full view, witness 0
+  }
+  std::vector<double>& approx = scratch.approx;
+  if (approx.size() < n + 4) {
+    approx.resize(n + 4);
+  }
+  double* const a = approx.data();
+  const double* const xs = scratch.dxs.data();
+  const double* const ys = scratch.dys.data();
+  directions_(xs, ys, m, a);
+  std::fill(a + m, a + n, 0.0);  // zero-distance hits: exactly 0.0 already
+  std::uint64_t exact_calls = 0;
+  const auto exact = [&](std::size_t j) {
+    if (j >= m) {
+      return 0.0;
+    }
+    ++exact_calls;
+    return exact_direction(xs[j], ys[j]);
+  };
+
+  const bool nec = (want & kWantNecessary) != 0;
+  const bool suf = (want & kWantSufficient) != 0;
+  if (nec || suf) {
+    // One pass marks each direction's arcs; it stops once both requested
+    // partitions are fully hit.
+    std::vector<std::uint64_t>& hits = scratch.arc_hits;
+    hits.assign(necessary_.words + sufficient_.words, 0);
+    std::uint64_t* const hn = hits.data();
+    std::uint64_t* const hs = hn + necessary_.words;
+    bool done = false;
+    for (std::size_t j = 0; j < n && !done; ++j) {
+      bool decided = !nec || mark_approx(necessary_, a[j], hn);
+      decided = (!suf || mark_approx(sufficient_, a[j], hs)) && decided;
+      if (!decided) [[unlikely]] {
+        const double e = exact(j);
+        if (nec) {
+          mark_exact(necessary_, e, hn);
+        }
+        if (suf) {
+          mark_exact(sufficient_, e, hs);
+        }
+      }
+      if ((j & 7U) == 7U) {
+        done = (!nec || all_hit(necessary_, hn)) && (!suf || all_hit(sufficient_, hs));
+      }
+    }
+    ans.necessary = nec && all_hit(necessary_, hn);
+    ans.sufficient = suf && all_hit(sufficient_, hs);
+  }
+
+  if ((want & (kWantFullView | kWantMaxGap)) != 0) {
+    const BucketGaps bg = bucket_gaps(a, n, scratch);
+    const double limit = 2.0 * theta_;
+    const bool decide_only = (want & kWantMaxGap) == 0;
+    if (decide_only && bg.widest < limit - kGapMargin) {
+      ans.full_view = true;
+    } else if (decide_only && bg.widest > limit + kGapMargin) {
+      ans.full_view = false;
+    } else {
+      const SortedGap g = exact_widest_gap(a, n, bg, scratch, exact);
+      ans.max_gap = g.width;
+      ans.full_view = g.width <= limit;
+      if (!ans.full_view) {
+        ans.witness = geom::normalize_angle(g.after + 0.5 * g.width);
+      }
+    }
+  }
+  if (scratch.counters != nullptr) [[unlikely]] {
+    scratch.counters->exact_directions += exact_calls;
+  }
+  return ans;
+}
+
+GridEvalEngine::PointAnswer GridEvalEngine::filtered_grid_point(std::size_t row,
+                                                                std::size_t col,
+                                                                GridEvalScratch& scratch,
+                                                                unsigned want) const {
+  const geom::Vec2 p = grid_.point(row, col);
+  return filtered_point(p, row_view(row, p, scratch), scratch, want);
+}
+
 GridEvalEngine::CandView GridEvalEngine::point_view(const geom::Vec2& p,
                                                     GridEvalScratch& scratch) const {
   // The per-id records are copied field-by-field out of the per-camera
@@ -817,61 +1138,64 @@ GridEvalEngine::CandView GridEvalEngine::point_view(const geom::Vec2& p,
   return {scratch.point_soa.data(), n, scratch.point_ids.data(), n};
 }
 
+namespace {
+
+FullViewResult full_view_result(std::size_t count, bool covered, double max_gap,
+                                double witness) {
+  FullViewResult res;
+  res.covering_count = count;
+  res.max_gap = max_gap;
+  res.covered = covered;
+  if (!covered) {
+    res.witness_unsafe_direction = witness;
+  }
+  return res;
+}
+
+}  // namespace
+
 PointEval GridEvalEngine::eval_point(const geom::Vec2& p,
                                      GridEvalScratch& scratch) const {
-  scratch.angles.clear();
-  gather_directions(p, point_view(p, scratch), scratch);
-  sort_directions(scratch);
-  const std::span<const double> dirs = scratch.angles;
+  const PointAnswer ans = filtered_point(p, point_view(p, scratch), scratch,
+                                         kWantNecessary | kWantSufficient | kWantMaxGap);
   PointEval res;
-  res.full_view = full_view_from_sorted(dirs, theta_);
-  res.necessary = arcs_all_hit(dirs, necessary_arcs_);
-  res.sufficient = arcs_all_hit(dirs, sufficient_arcs_);
+  res.full_view = full_view_result(ans.count, ans.full_view, ans.max_gap, ans.witness);
+  res.necessary = ans.necessary;
+  res.sufficient = ans.sufficient;
   return res;
 }
 
 FullViewResult GridEvalEngine::point_full_view(std::size_t row, std::size_t col,
                                                GridEvalScratch& scratch) const {
-  return full_view_from_sorted(sorted_directions(row, col, scratch), theta_);
+  const PointAnswer ans = filtered_grid_point(row, col, scratch, kWantMaxGap);
+  return full_view_result(ans.count, ans.full_view, ans.max_gap, ans.witness);
 }
 
 bool GridEvalEngine::point_necessary(std::size_t row, std::size_t col,
                                      GridEvalScratch& scratch) const {
-  return arcs_all_hit(sorted_directions(row, col, scratch), necessary_arcs_);
+  return filtered_grid_point(row, col, scratch, kWantNecessary).necessary;
 }
 
 bool GridEvalEngine::point_sufficient(std::size_t row, std::size_t col,
                                       GridEvalScratch& scratch) const {
-  return arcs_all_hit(sorted_directions(row, col, scratch), sufficient_arcs_);
+  return filtered_grid_point(row, col, scratch, kWantSufficient).sufficient;
 }
 
 GridRowStats GridEvalEngine::row_stats(std::size_t row, GridEvalScratch& scratch) const {
   GridRowStats rs;
-  bool first = true;
   for (std::size_t col = 0; col < cols(); ++col) {
-    const std::span<const double> dirs = sorted_directions(row, col, scratch);
-    if (!dirs.empty()) {
-      ++rs.covered_1;
-    }
-    if (dirs.size() >= implied_k_) {
-      ++rs.k_covered_ok;
-    }
-    const SortedGap gap = max_gap_sorted(dirs);
-    if (!dirs.empty() && gap.width <= 2.0 * theta_) {
-      ++rs.full_view_ok;
-    }
-    if (arcs_all_hit(dirs, necessary_arcs_)) {
-      ++rs.necessary_ok;
-    }
-    if (arcs_all_hit(dirs, sufficient_arcs_)) {
-      ++rs.sufficient_ok;
-    }
-    if (first) {
-      rs.min_max_gap = rs.max_max_gap = gap.width;
-      first = false;
+    const PointAnswer ans = filtered_grid_point(
+        row, col, scratch, kWantNecessary | kWantSufficient | kWantMaxGap);
+    rs.covered_1 += static_cast<std::size_t>(ans.count > 0);
+    rs.k_covered_ok += static_cast<std::size_t>(ans.count >= implied_k_);
+    rs.full_view_ok += static_cast<std::size_t>(ans.full_view);
+    rs.necessary_ok += static_cast<std::size_t>(ans.necessary);
+    rs.sufficient_ok += static_cast<std::size_t>(ans.sufficient);
+    if (col == 0) {
+      rs.min_max_gap = rs.max_max_gap = ans.max_gap;
     } else {
-      rs.min_max_gap = std::min(rs.min_max_gap, gap.width);
-      rs.max_max_gap = std::max(rs.max_max_gap, gap.width);
+      rs.min_max_gap = std::min(rs.min_max_gap, ans.max_gap);
+      rs.max_max_gap = std::max(rs.max_max_gap, ans.max_gap);
     }
   }
   return rs;
@@ -932,18 +1256,17 @@ GridRowEvents GridEvalEngine::row_events(std::size_t row, GridEvalScratch& scrat
   ev.all_full_view = need_full_view;
   ev.all_sufficient = need_sufficient;
   for (std::size_t col = 0; col < cols(); ++col) {
-    const std::span<const double> dirs = sorted_directions(row, col, scratch);
-    if (!arcs_all_hit(dirs, necessary_arcs_)) {
+    const unsigned want = kWantNecessary | (ev.all_full_view ? kWantFullView : 0U) |
+                          (ev.all_sufficient ? kWantSufficient : 0U);
+    const PointAnswer ans = filtered_grid_point(row, col, scratch, want);
+    if (!ans.necessary) {
       return {false, false, false};
     }
-    if (ev.all_full_view) {
-      const SortedGap gap = max_gap_sorted(dirs);
-      if (dirs.empty() || gap.width > 2.0 * theta_) {
-        ev.all_full_view = false;
-        ev.all_sufficient = false;  // sufficient implies full view
-      }
+    if (ev.all_full_view && !ans.full_view) {
+      ev.all_full_view = false;
+      ev.all_sufficient = false;  // sufficient implies full view
     }
-    if (ev.all_sufficient && !arcs_all_hit(dirs, sufficient_arcs_)) {
+    if (ev.all_sufficient && !ans.sufficient) {
       ev.all_sufficient = false;
     }
   }
@@ -952,7 +1275,7 @@ GridRowEvents GridEvalEngine::row_events(std::size_t row, GridEvalScratch& scrat
 
 bool GridEvalEngine::row_all_necessary(std::size_t row, GridEvalScratch& scratch) const {
   for (std::size_t col = 0; col < cols(); ++col) {
-    if (!arcs_all_hit(sorted_directions(row, col, scratch), necessary_arcs_)) {
+    if (!filtered_grid_point(row, col, scratch, kWantNecessary).necessary) {
       return false;
     }
   }
@@ -961,7 +1284,7 @@ bool GridEvalEngine::row_all_necessary(std::size_t row, GridEvalScratch& scratch
 
 bool GridEvalEngine::row_all_sufficient(std::size_t row, GridEvalScratch& scratch) const {
   for (std::size_t col = 0; col < cols(); ++col) {
-    if (!arcs_all_hit(sorted_directions(row, col, scratch), sufficient_arcs_)) {
+    if (!filtered_grid_point(row, col, scratch, kWantSufficient).sufficient) {
       return false;
     }
   }
@@ -970,8 +1293,7 @@ bool GridEvalEngine::row_all_sufficient(std::size_t row, GridEvalScratch& scratc
 
 bool GridEvalEngine::row_all_full_view(std::size_t row, GridEvalScratch& scratch) const {
   for (std::size_t col = 0; col < cols(); ++col) {
-    const std::span<const double> dirs = sorted_directions(row, col, scratch);
-    if (dirs.empty() || max_gap_sorted(dirs).width > 2.0 * theta_) {
+    if (!filtered_grid_point(row, col, scratch, kWantFullView).full_view) {
       return false;
     }
   }

@@ -16,22 +16,31 @@
 ///      contiguous span.  Off-lattice points (`eval_point`) read one x
 ///      window per strip instead.  Every span is a duplicate-free superset
 ///      of the covering set, so the index decides speed, never results.
-///   2. *Fused kernel* — per point, the viewed angles of covering cameras
-///      are gathered into a reusable scratch buffer and sorted in place
-///      once; the exact max-gap test and both sector conditions are then
-///      evaluated from that same sorted buffer with zero per-point heap
-///      allocations (sector partitions are precomputed per scan).
-///   3. *Lane-parallel classify* — candidate records are stored as
-///      structure-of-arrays spans and classified 4 lanes at a time by an
-///      explicitly vectorized kernel (grid_eval_kernel.hpp) selected by
-///      runtime CPU dispatch (cpu_features.hpp: scalar / generic / avx2 /
-///      neon, pinnable via FVC_FORCE_KERNEL or the CLI's --kernel).  Lane
-///      arithmetic replicates the scalar IEEE operation sequence exactly
-///      (including the per-point torus unwrap, which is `geom::wrap_delta`
-///      lane-for-lane); the remainder tail and exact-arithmetic band hits
-///      reuse the scalar per-entry path, and atan2-bearing direction
-///      emission stays scalar — so every variant is bit-identical
-///      (enforced by tests/core/test_grid_eval_kernels).
+///   2. *Filtered direction pipeline* — per point, the covered
+///      displacements get *approximate* viewed directions with a proven
+///      error bound (grid_eval_kernel.hpp, kDirectionEps), and the
+///      predicates are decided on those without sorting: one linear pass
+///      marks each direction's sector-partition arcs by index, and a
+///      bucketed linear max-gap scan decides full view.  Exact `atan2`
+///      runs only for directions within a proven margin of a decision
+///      boundary (an arc end, the 0/2*pi seam, a gap within the margin of
+///      2*theta) and for the endpoints of candidate widest gaps, whose
+///      exact width and witness reproduce the oracle's sorted scan and its
+///      tie rule.  Zero per-point heap allocations after warm-up.
+///      `sorted_directions` stays the exact reference (every angle exact,
+///      then sorted).
+///   3. *Lane-parallel classify and emission* — candidate records are
+///      stored as structure-of-arrays spans and classified 4 lanes at a
+///      time by an explicitly vectorized kernel (grid_eval_kernel.hpp)
+///      selected by runtime CPU dispatch (cpu_features.hpp: scalar /
+///      generic / avx2 / neon, pinnable via FVC_FORCE_KERNEL or the CLI's
+///      --kernel), which also selects the 4-wide approximate-direction
+///      kernel.  Classify lanes replicate the scalar IEEE operation
+///      sequence exactly (including the per-point torus unwrap, which is
+///      `geom::wrap_delta` lane-for-lane); the remainder tail and
+///      exact-arithmetic band hits reuse the scalar per-entry path — so
+///      every variant gathers the same covered set, and every answer is
+///      bit-identical (enforced by tests/core/test_grid_eval_kernels).
 ///   4. *Row batching* — rows are independent work units, so callers can
 ///      evaluate them serially (`evaluate`), or hand contiguous row blocks
 ///      to `sim::parallel_for_blocked` via `block_stats` and merge the
@@ -56,6 +65,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "fvc/core/cpu_features.hpp"
@@ -82,6 +92,27 @@ using ClassifyFn = ClassifyResult (*)(const CandSpans& c, std::size_t count,
                                       double px, double py, bool torus,
                                       double* xs, double* ys,
                                       std::uint32_t* special);
+using DirectionsFn = void (*)(const double* xs, const double* ys, std::size_t count,
+                              double* out);
+
+/// One sector partition (`geom::sector_partition(width)`, start line 0) in
+/// the shape the filtered pipeline indexes: the regular arcs T_1..T_k with
+/// ascending starts and the optional overlapping extra arc T_{k+1} (bit k
+/// of the hit words).  Every arc has width `width`
+/// (Arc::centered(c, w / 2) has width 2 * (w / 2) == w).
+struct SectorIndex {
+  std::vector<double> starts;
+  double width = 0.0;
+  double inv_width = 0.0;
+  double edge = 0.0;     ///< the boundary margin, in arc widths
+  double seam_lo = 0.0;  ///< directions below this are near the seam
+  bool has_extra = false;
+  double extra_start = 0.0;
+  std::size_t words = 0;  ///< 64-bit hit words covering every arc
+
+  SectorIndex() = default;
+  explicit SectorIndex(double sector_angle);
+};
 }  // namespace detail
 
 /// Engine observability counters (see fvc/obs).  Attached to a scratch —
@@ -91,12 +122,15 @@ using ClassifyFn = ClassifyResult (*)(const CandSpans& c, std::size_t count,
 /// candidate, and results are unchanged either way (counting does not
 /// touch the arithmetic).  `candidates_total` / `candidates_per_point`
 /// describe the candidate spans the kernel was handed (a superset of the
-/// covering set); the other fields depend on the covered sets alone.
+/// covering set); `exact_directions` depends on the approximate directions
+/// and the order the classify path compacts them in; the other fields
+/// depend on the covered sets alone.
 struct GridEvalCounters {
   std::uint64_t points = 0;            ///< grid points gathered
   std::uint64_t candidates_total = 0;  ///< indexed candidates scanned
   std::uint64_t directions_total = 0;  ///< covering directions emitted
   std::uint64_t trig_fallbacks = 0;    ///< exact-arithmetic band fallbacks
+  std::uint64_t exact_directions = 0;  ///< exact atan2 calls the filter made
   obs::LogHistogram candidates_per_point;
 
   void merge(const GridEvalCounters& other) {
@@ -104,6 +138,7 @@ struct GridEvalCounters {
     candidates_total += other.candidates_total;
     directions_total += other.directions_total;
     trig_fallbacks += other.trig_fallbacks;
+    exact_directions += other.exact_directions;
     candidates_per_point.merge(other.candidates_per_point);
   }
 
@@ -118,6 +153,16 @@ struct GridEvalScratch {
   std::vector<double> angles;  ///< sorted viewed directions of one point
   std::vector<double> dxs;     ///< displacements of covered candidates
   std::vector<double> dys;     ///< (compacted by the classify loop)
+  /// Filtered pipeline: approximate directions of one point, per-bucket
+  /// min/max and occupancy bits of the max-gap scan, sector hit bits, and
+  /// the candidate widest gaps (approximate endpoints) awaiting exact
+  /// resolution.
+  std::vector<double> approx;
+  std::vector<double> bucket_lo;
+  std::vector<double> bucket_hi;
+  std::vector<std::uint64_t> bucket_used;
+  std::vector<std::uint64_t> arc_hits;
+  std::vector<std::pair<double, double>> gap_candidates;
   /// Lane indices the vectorized kernel routes back to the scalar path
   /// (exact-arithmetic band hits, zero-distance hits).
   std::vector<std::uint32_t> special;
@@ -390,25 +435,66 @@ class GridEvalEngine {
   [[nodiscard]] CandView point_view(const geom::Vec2& p,
                                     GridEvalScratch& scratch) const;
 
-  /// In-place sort of `scratch.angles` (the tail of `sorted_directions`,
-  /// shared with `eval_point`): insertion sort for small buffers, a
-  /// 32-bucket counting presort for mid-sized ones, std::sort above.
+  /// In-place sort of `scratch.angles` (the tail of `sorted_directions`):
+  /// insertion sort for small buffers, a 32-bucket counting presort for
+  /// mid-sized ones, std::sort above.
   static void sort_directions(GridEvalScratch& scratch);
 
+  /// The covered set of one point as the classify paths leave it:
+  /// `displacements` covered displacements in scratch.dxs/dys, plus
+  /// `zeros` zero-distance hits, whose emitted direction is exactly 0.0.
+  struct CoveredSet {
+    std::size_t displacements = 0;
+    std::size_t zeros = 0;
+  };
+
   /// The scalar per-entry classify path (also the oracle): classifies view
-  /// entry `e` against `p`, appending immediate directions (fallback-band
-  /// and zero-distance hits) to `out` and compacting covered displacements
-  /// into xs/ys at m.  Shared by the scalar kernel loop, the vectorized
-  /// kernel's remainder tail, and its special-lane replay.
+  /// entry `e` against `p`, counting zero-distance hits in `zeros` and
+  /// compacting covered displacements into xs/ys at m.  Shared by the
+  /// scalar kernel loop, the vectorized kernel's remainder tail, and its
+  /// special-lane replay.
   void classify_entry(const CandView& view, std::size_t e, const geom::Vec2& p,
-                      GridEvalScratch& scratch, std::vector<double>& out, double* xs,
+                      GridEvalScratch& scratch, std::size_t& zeros, double* xs,
                       double* ys, std::size_t& m) const;
 
-  /// Fused gather: viewed directions of all covering cameras into
+  /// Classify a candidate span into its covered set (and the per-point
+  /// counters): the shared front of both direction paths.
+  CoveredSet classify_span(const geom::Vec2& p, const CandView& view,
+                           GridEvalScratch& scratch) const;
+
+  /// Exact viewed directions of all covering cameras into
   /// `scratch.angles` (unsorted); the allocation-free core of
   /// `sorted_directions`.
   void gather_directions(const geom::Vec2& p, const CandView& view,
                          GridEvalScratch& scratch) const;
+
+  /// What `filtered_point` decides.  kWantMaxGap resolves the exact max
+  /// gap and witness (and so the exact full-view answer); kWantFullView
+  /// alone only decides `max_gap <= 2*theta`.
+  enum Want : unsigned {
+    kWantNecessary = 1U,
+    kWantSufficient = 2U,
+    kWantFullView = 4U,
+    kWantMaxGap = 8U,
+  };
+  /// One point's answers; fields not requested keep their defaults.
+  struct PointAnswer {
+    std::size_t count = 0;  ///< covering cameras
+    bool necessary = false;
+    bool sufficient = false;
+    bool full_view = false;
+    double max_gap = 0.0;  ///< exact, when kWantMaxGap
+    double witness = 0.0;  ///< exact, when kWantMaxGap and not full view
+  };
+
+  /// The filtered direction pipeline at one point — the one per-point
+  /// routine behind every predicate entry point (rows, blocks, events,
+  /// `eval_point`, `point_*`).  Bit-identical to the exact sorted path.
+  [[nodiscard]] PointAnswer filtered_point(const geom::Vec2& p, const CandView& view,
+                                           GridEvalScratch& scratch, unsigned want) const;
+  [[nodiscard]] PointAnswer filtered_grid_point(std::size_t row, std::size_t col,
+                                                GridEvalScratch& scratch,
+                                                unsigned want) const;
 
   /// Covering-camera count with early exit at `k` (no angle computation on
   /// the fast path).
@@ -424,9 +510,10 @@ class GridEvalEngine {
   geom::SpaceMode mode_ = geom::SpaceMode::kTorus;
   KernelVariant kernel_ = KernelVariant::kScalar;
   detail::ClassifyFn classify_ = nullptr;  ///< non-null for vector variants
+  detail::DirectionsFn directions_ = nullptr;  ///< approximate emission
   std::uint64_t generation_ = 0;  ///< process-unique; keys scratch row slices
-  std::vector<geom::Arc> necessary_arcs_;   ///< 2*theta partition, start 0
-  std::vector<geom::Arc> sufficient_arcs_;  ///< theta partition, start 0
+  detail::SectorIndex necessary_;   ///< 2*theta partition, start 0
+  detail::SectorIndex sufficient_;  ///< theta partition, start 0
 
   std::size_t cells_ = 1;  ///< strips per side == x cells per strip
   std::size_t cells_target_ = 1;

@@ -1,6 +1,7 @@
 /// \file grid_eval_kernel.hpp
-/// \brief The vectorized classify kernel behind GridEvalEngine, written
-/// once as a template over the batch backends of simd.hpp.
+/// \brief The vectorized kernels behind GridEvalEngine — candidate classify
+/// and approximate direction emission — each written once as a template
+/// over the batch backends of simd.hpp.
 ///
 /// The engine stores each cell's candidates as structure-of-arrays spans
 /// (CandSpans).  classify_batches processes full lane groups: it computes
@@ -14,12 +15,19 @@
 /// kernel).  The remainder tail (count % 4 != 0) never reaches this
 /// kernel; the caller handles it with the same scalar per-entry path.
 ///
+/// approx_directions_batches turns the compacted displacements into
+/// approximate viewed directions with a proven error bound (kDirectionEps)
+/// against the exact emission `atan2(dy, dx) + pi` (wrapped 2*pi -> 0);
+/// the engine's filtered direction pipeline decides its predicates on these
+/// values and recomputes exactly only near decision boundaries.
+///
 /// Each backend instantiation lives in its own translation unit
 /// (grid_eval_kernel_{generic,avx2,neon}.cpp) so ISA-specific code can be
 /// compiled with ISA-specific flags without leaking wide instructions
 /// into baseline translation units: the only symbols such a TU exports
-/// are its non-inline classify_* entry points, and they are called only
-/// after runtime dispatch (cpu_features.hpp) has verified the CPU.
+/// are its non-inline classify_* / approx_directions_* entry points, and
+/// they are called only after runtime dispatch (cpu_features.hpp) has
+/// verified the CPU.
 
 #pragma once
 
@@ -66,6 +74,34 @@ ClassifyResult classify_avx2(const CandSpans& c, std::size_t count, double px,
 ClassifyResult classify_neon(const CandSpans& c, std::size_t count, double px,
                              double py, bool torus, double* xs, double* ys,
                              std::uint32_t* special);
+#endif
+
+/// Proven bound on the circular distance between an approximate direction
+/// and the exact emission `e = atan2(dy, dx) + pi` (2*pi wrapped to 0),
+/// measured on the circle of circumference kTwoPi.  The term-by-term
+/// derivation is in docs/ARCHITECTURE.md ("Filtered direction pipeline"):
+/// the bound itself is ~4.1e-15; 2^-40 leaves a factor ~200 of slack, which
+/// the engine's margin rules spend on their own few-ulp comparisons.
+inline constexpr double kDirectionEps = 0x1p-40;
+
+/// Approximate viewed directions of `count` covered displacements:
+/// out[j] ~ atan2(ys[j], xs[j]) + pi in [0, 2*pi), within kDirectionEps
+/// of the exact emission.  Whole lane groups only: xs, ys and out must
+/// have room for `count` rounded up to a multiple of 4 (the padding lanes
+/// compute garbage that the caller ignores).  Every (xs[j], ys[j]) must be
+/// nonzero — the classify paths route zero displacements elsewhere.
+using DirectionsFn = void (*)(const double* xs, const double* ys, std::size_t count,
+                              double* out);
+
+void approx_directions_generic(const double* xs, const double* ys, std::size_t count,
+                               double* out);
+#if defined(FVC_KERNEL_AVX2)
+void approx_directions_avx2(const double* xs, const double* ys, std::size_t count,
+                            double* out);
+#endif
+#if defined(FVC_KERNEL_NEON)
+void approx_directions_neon(const double* xs, const double* ys, std::size_t count,
+                            double* out);
 #endif
 
 /// The template the per-backend TUs instantiate.  Self-contained: only
@@ -155,6 +191,68 @@ inline ClassifyResult classify_batches(const CandSpans& c, std::size_t count,
     do_batch(i);
   }
   return res;
+}
+
+/// The direction template.  Octant reduction to t in [-tan(pi/8), tan(pi/8)]
+/// with one IEEE division, then an odd degree-19 polynomial for atan(t)
+/// (Chebyshev fit of (atan(t) - t) / t^3 in s = t^2; remainder <= 1.45e-15
+/// on the reduced range), then the octant/quadrant assembly and the
+/// emission's `+ pi` with its 2*pi -> 0 wrap:
+///   mx = max(|x|, |y|), mn = min(|x|, |y|)
+///   big = mn > tan(pi/8) * mx
+///   t = big ? (mn - mx) / (mn + mx) : mn / mx      [atan(mn/mx) = (big ? pi/4 : 0) + atan(t)]
+///   r = atan(mn/mx) in [0, pi/4]; |y| > |x| => r = pi/2 - r; x < 0 => r = pi - r
+///   y < 0 => r = -r;  a = r + pi;  a >= 2*pi => a = 0
+/// Signed zeros land within the bound of the exact emission: y = -0, x < 0
+/// gives r = pi, a = 2*pi -> 0, the exact emission's fl(-pi + pi) = 0.
+/// Plain IEEE ops only (no FMA: kernel TUs build with -ffp-contract=off),
+/// so every backend computes the same bits.
+template <class B>
+inline void approx_directions_batches(const double* xs, const double* ys,
+                                      std::size_t count, double* out) {
+  static_assert(B::kWidth == 4, "direction kernels are 4-wide");
+  const B vzero = B::broadcast(0.0);
+  const B vtan_pi8 = B::broadcast(0.41421356237309503);
+  const B vpi4 = B::broadcast(0.7853981633974483);
+  const B vpi2 = B::broadcast(1.5707963267948966);
+  const B vpi = B::broadcast(3.141592653589793);
+  const B vtwo_pi = B::broadcast(6.283185307179586);
+  const B c0 = B::broadcast(-0.3333333333333092);
+  const B c1 = B::broadcast(0.19999999997722234);
+  const B c2 = B::broadcast(-0.1428571393002015);
+  const B c3 = B::broadcast(0.11111089630927445);
+  const B c4 = B::broadcast(-0.0909025549804379);
+  const B c5 = B::broadcast(0.07681039101921847);
+  const B c6 = B::broadcast(-0.065508621995021);
+  const B c7 = B::broadcast(0.05168662080423891);
+  const B c8 = B::broadcast(-0.027230204129571136);
+  for (std::size_t i = 0; i < count; i += B::kWidth) {
+    const B x = B::load(xs + i);
+    const B y = B::load(ys + i);
+    const B ax = B::abs(x);
+    const B ay = B::abs(y);
+    const B steep = B::cmp_gt(ay, ax);
+    const B mx = B::select(steep, ay, ax);
+    const B mn = B::select(steep, ax, ay);
+    const B big = B::cmp_gt(mn, vtan_pi8 * mx);
+    const B t = B::select(big, mn - mx, mn) / B::select(big, mn + mx, mx);
+    const B s = t * t;
+    B q = c8 * s + c7;
+    q = q * s + c6;
+    q = q * s + c5;
+    q = q * s + c4;
+    q = q * s + c3;
+    q = q * s + c2;
+    q = q * s + c1;
+    q = q * s + c0;
+    const B p = t + (t * s) * q;
+    B r = B::select(big, vpi4 + p, p);
+    r = B::select(steep, vpi2 - r, r);
+    r = B::select(B::cmp_lt(x, vzero), vpi - r, r);
+    r = B::select(B::cmp_lt(y, vzero), vzero - r, r);
+    const B a = r + vpi;
+    B::select(B::cmp_ge(a, vtwo_pi), vzero, a).store(out + i);
+  }
 }
 
 }  // namespace fvc::core::detail

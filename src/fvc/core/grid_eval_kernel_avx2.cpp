@@ -1,10 +1,11 @@
-/// The AVX2 classify kernel.  This translation unit is the only one in
-/// the build compiled with -mavx2 (see src/CMakeLists.txt): it must
-/// contain nothing but the kernel instantiation, and must not define any
-/// inline/template symbol another TU could also instantiate — otherwise
+/// The AVX2 classify and direction kernels.  This translation unit is the
+/// only one in the build compiled with -mavx2 (see src/CMakeLists.txt): it
+/// must contain nothing but the kernel instantiations, and must not define
+/// any inline/template symbol another TU could also instantiate — otherwise
 /// the linker could fold a baseline caller onto AVX2 code and fault on
-/// pre-AVX2 hosts.  Its single exported symbol, classify_avx2, is reached
-/// only after runtime dispatch (cpu_features.hpp) confirms AVX2.
+/// pre-AVX2 hosts.  Its exported symbols, classify_avx2 and
+/// approx_directions_avx2, are reached only after runtime dispatch
+/// (cpu_features.hpp) confirms AVX2.
 
 #if !defined(__AVX2__)
 #error "grid_eval_kernel_avx2.cpp must be compiled with -mavx2"
@@ -20,6 +21,11 @@ ClassifyResult classify_avx2(const CandSpans& c, std::size_t count, double px,
                              std::uint32_t* special) {
   return classify_batches<simd::Avx2Batch>(c, count, px, py, torus, xs, ys,
                                            special);
+}
+
+void approx_directions_avx2(const double* xs, const double* ys, std::size_t count,
+                            double* out) {
+  approx_directions_batches<simd::Avx2Batch>(xs, ys, count, out);
 }
 
 }  // namespace fvc::core::detail

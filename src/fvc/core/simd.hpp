@@ -2,8 +2,9 @@
 /// \brief Portable fixed-width batch abstraction: 4 double lanes.
 ///
 /// One batch type per backend, all exposing the same static interface so
-/// the classify kernel (grid_eval_kernel.hpp) is written once as a
-/// template and instantiated per backend in its own translation unit:
+/// the grid-eval kernels (grid_eval_kernel.hpp: classify and approximate
+/// directions) are written once as templates and instantiated per backend
+/// in their own translation units:
 ///
 ///   GenericBatch  plain per-lane double arithmetic; compiles at the
 ///                 baseline ISA everywhere (the compiler is free to
@@ -14,7 +15,7 @@
 ///   NeonBatch     two float64x2_t halves; only defined on AArch64
 ///
 /// Bit-identity contract: every arithmetic op maps to exactly one IEEE-754
-/// binary64 operation per lane (add/sub/mul, round-to-nearest-even), `abs`
+/// binary64 operation per lane (add/sub/mul/div, round-to-nearest-even), `abs`
 /// clears the sign bit, and comparisons are the ordered IEEE predicates —
 /// so a lane computes bit-for-bit what the scalar oracle computes for the
 /// same candidate.  Nothing here may introduce FMA contraction (the
@@ -90,6 +91,13 @@ struct GenericBatch {
     GenericBatch r;
     for (std::size_t i = 0; i < kWidth; ++i) {
       r.v[i] = a.v[i] * b.v[i];
+    }
+    return r;
+  }
+  [[nodiscard]] friend GenericBatch operator/(GenericBatch a, GenericBatch b) {
+    GenericBatch r;
+    for (std::size_t i = 0; i < kWidth; ++i) {
+      r.v[i] = a.v[i] / b.v[i];
     }
     return r;
   }
@@ -196,10 +204,10 @@ struct GenericBatch {
 };
 
 #if defined(__AVX2__)
-/// AVX2 backend: one 256-bit register of 4 doubles.  vmulpd/vaddpd/vsubpd
-/// are exactly-rounded IEEE ops, vandpd clears the sign bit for abs, and
+/// AVX2 backend: one 256-bit register of 4 doubles.  vmulpd/vaddpd/vsubpd/
+/// vdivpd are exactly-rounded IEEE ops, vandpd clears the sign bit for abs, and
 /// vcmppd with ordered predicates matches the scalar comparisons
-/// (operands are never NaN in the kernel's arithmetic domain).
+/// (operands are never NaN in any lane whose result the kernels use).
 struct Avx2Batch {
   static constexpr std::size_t kWidth = kLanes;
   __m256d v;
@@ -220,6 +228,9 @@ struct Avx2Batch {
   }
   [[nodiscard]] friend Avx2Batch operator*(Avx2Batch a, Avx2Batch b) {
     return {_mm256_mul_pd(a.v, b.v)};
+  }
+  [[nodiscard]] friend Avx2Batch operator/(Avx2Batch a, Avx2Batch b) {
+    return {_mm256_div_pd(a.v, b.v)};
   }
 
   [[nodiscard]] static Avx2Batch abs(Avx2Batch a) {
@@ -290,8 +301,8 @@ struct Avx2Batch {
 #endif  // __AVX2__
 
 #if defined(__aarch64__)
-/// NEON backend: two 128-bit halves.  vadd/vsub/vmulq_f64 are the plain
-/// (non-fused) IEEE ops; comparisons return uint64x2_t lane masks.
+/// NEON backend: two 128-bit halves.  vadd/vsub/vmul/vdivq_f64 are the
+/// plain (non-fused) IEEE ops; comparisons return uint64x2_t lane masks.
 struct NeonBatch {
   static constexpr std::size_t kWidth = kLanes;
   float64x2_t lo, hi;
@@ -315,6 +326,9 @@ struct NeonBatch {
   }
   [[nodiscard]] friend NeonBatch operator*(NeonBatch a, NeonBatch b) {
     return {vmulq_f64(a.lo, b.lo), vmulq_f64(a.hi, b.hi)};
+  }
+  [[nodiscard]] friend NeonBatch operator/(NeonBatch a, NeonBatch b) {
+    return {vdivq_f64(a.lo, b.lo), vdivq_f64(a.hi, b.hi)};
   }
 
   [[nodiscard]] static NeonBatch abs(NeonBatch a) {

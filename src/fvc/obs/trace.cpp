@@ -53,15 +53,31 @@ void emit(const char* name, TraceCategory category, TracePhase phase,
 
 TraceRing::TraceRing(std::size_t capacity, std::uint32_t tid) : tid_(tid) {
   const std::size_t cap = std::bit_ceil(std::max<std::size_t>(capacity, 8));
-  slots_.resize(cap);
+  slots_ = std::make_unique<Slot[]>(cap);
   mask_ = cap - 1;
+}
+
+bool TraceRing::read_slot(std::uint64_t seq, TraceEvent& out) const {
+  // Seqlock read.  The acquire load of the published stamp makes the
+  // writer's payload stores for `seq` visible; the acquire fence keeps the
+  // payload copy before the second stamp load, so if the writer began
+  // reusing the slot (odd stamp, then payload) anywhere before the copy
+  // finished, the second load no longer reads seq's published value.
+  const Slot& slot = slots_[seq & mask_];
+  const std::uint64_t published = 2 * seq + 2;
+  if (slot.stamp.load(std::memory_order_acquire) != published) {
+    return false;
+  }
+  out = slot.event;
+  std::atomic_thread_fence(std::memory_order_acquire);
+  return slot.stamp.load(std::memory_order_relaxed) == published;
 }
 
 TraceRing::DrainResult TraceRing::drain_into(std::vector<TraceEvent>& out) {
   DrainResult res;
   const std::uint64_t head = head_.load(std::memory_order_acquire);
   std::uint64_t from = tail_;
-  const auto cap = static_cast<std::uint64_t>(slots_.size());
+  const std::uint64_t cap = mask_ + 1;
   if (head - from > cap) {
     // The writer lapped the consumer: everything older than one full ring
     // below head is gone.
@@ -69,13 +85,9 @@ TraceRing::DrainResult TraceRing::drain_into(std::vector<TraceEvent>& out) {
     from = head - cap;
   }
   for (std::uint64_t seq = from; seq < head; ++seq) {
-    TraceEvent ev = slots_[seq & mask_];
-    // A slot is torn only if the writer wrapped past it *while* we copied:
-    // re-reading head after the copy detects that (the writer publishes
-    // with release order, so a head that still covers seq proves the slot
-    // held a fully-written event when we read it).
-    if (head_.load(std::memory_order_acquire) > seq + cap) {
-      ++res.evicted;
+    TraceEvent ev;
+    if (!read_slot(seq, ev)) {
+      ++res.evicted;  // overwritten by a later lap before or during the copy
       continue;
     }
     out.push_back(ev);
@@ -87,15 +99,7 @@ TraceRing::DrainResult TraceRing::drain_into(std::vector<TraceEvent>& out) {
 
 bool TraceRing::last_event(TraceEvent& out) const {
   const std::uint64_t head = head_.load(std::memory_order_acquire);
-  if (head == 0) {
-    return false;
-  }
-  const std::uint64_t seq = head - 1;
-  out = slots_[seq & mask_];
-  // Discard if the writer lapped the slot mid-copy (same tear rule as
-  // drain_into).
-  return head_.load(std::memory_order_acquire) <=
-         seq + static_cast<std::uint64_t>(slots_.size());
+  return head != 0 && read_slot(head - 1, out);
 }
 
 TraceSession::TraceSession(std::size_t ring_capacity)

@@ -86,7 +86,12 @@ struct TraceEvent {
 /// Fixed-capacity single-writer ring buffer of trace events.  The writer
 /// overwrites the oldest slot when full (tracing must never stall the
 /// traced code); the consumer detects lapped slots at drain time and
-/// reports them as evicted.  Always compiled — the compile-time gate
+/// reports them as evicted.  Each slot carries a sequence stamp, a
+/// per-slot seqlock: the writer stores 2*seq + 1 (writing) before the
+/// payload and 2*seq + 2 (published) after it, and a reader accepts a copy
+/// only when the stamp reads seq's published value both before and after
+/// the copy — so a copy the writer touched, or a slot a later lap already
+/// reused, is never returned.  Always compiled — the compile-time gate
 /// applies to the *emit call sites*, not to the data structures, so the
 /// session/export/watchdog machinery keeps working in disabled builds
 /// (it just sees no events).
@@ -99,15 +104,19 @@ class TraceRing {
   TraceRing(const TraceRing&) = delete;
   TraceRing& operator=(const TraceRing&) = delete;
 
-  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return mask_ + 1; }
   [[nodiscard]] std::uint32_t tid() const { return tid_; }
 
   /// Writer side (owning thread only): stamp `ev` with this ring's tid
   /// and publish it, overwriting the oldest event when full.
   void push(TraceEvent ev) {
     const std::uint64_t seq = head_.load(std::memory_order_relaxed);
+    Slot& slot = slots_[seq & mask_];
+    slot.stamp.store(2 * seq + 1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_release);
     ev.tid = tid_;
-    slots_[seq & mask_] = ev;
+    slot.event = ev;
+    slot.stamp.store(2 * seq + 2, std::memory_order_release);
     head_.store(seq + 1, std::memory_order_release);
   }
 
@@ -123,8 +132,8 @@ class TraceRing {
 
   /// Consumer side: append every event published since the last drain to
   /// `out`, oldest first.  Safe to call while the writer is pushing: a
-  /// slot the writer lapped mid-copy is discarded (counted as evicted)
-  /// rather than returned torn.  Single consumer (the session serializes
+  /// slot the writer overwrote before or during the copy is discarded
+  /// (counted as evicted) rather than returned torn or twice.  Single consumer (the session serializes
   /// drains under its mutex).
   DrainResult drain_into(std::vector<TraceEvent>& out);
 
@@ -134,7 +143,16 @@ class TraceRing {
   [[nodiscard]] bool last_event(TraceEvent& out) const;
 
  private:
-  std::vector<TraceEvent> slots_;
+  struct Slot {
+    std::atomic<std::uint64_t> stamp{0};  ///< 2*seq+1 writing, 2*seq+2 published
+    TraceEvent event;
+  };
+
+  /// Copy the event published as `seq` out of its slot; false when the
+  /// slot does not hold that event for the whole copy.
+  bool read_slot(std::uint64_t seq, TraceEvent& out) const;
+
+  std::unique_ptr<Slot[]> slots_;
   std::uint64_t mask_ = 0;
   std::uint32_t tid_ = 0;
   std::atomic<std::uint64_t> head_{0};

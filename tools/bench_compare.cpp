@@ -41,6 +41,7 @@
 #include "fvc/obs/trace.hpp"
 #include "fvc/sim/parallel_region.hpp"
 #include "fvc/stats/rng.hpp"
+#include "bench_host.hpp"
 
 namespace {
 
@@ -241,6 +242,7 @@ int main(int argc, char** argv) {
                 trace_overhead_pct,
                 static_cast<unsigned long long>(trace_events));
   record << buf;
+  record << "  \"host\": " << fvc::tools::host_json() << ",\n";
   record << "  \"thread_sweep\": [\n";
   for (std::size_t i = 0; i < std::size(sweep_threads); ++i) {
     std::snprintf(buf, sizeof(buf),

@@ -66,6 +66,7 @@
 #include "fvc/obs/trace.hpp"
 #include "fvc/sim/parallel_region.hpp"
 #include "fvc/stats/rng.hpp"
+#include "bench_host.hpp"
 
 namespace {
 
@@ -346,6 +347,7 @@ int main(int argc, char** argv) {
                 obs::kTraceEnabled ? "true" : "false",
                 all_identical ? "true" : "false");
   record << buf;
+  record << "  \"host\": " << fvc::tools::host_json() << ",\n";
   record << "  \"configs\": [\n";
   for (std::size_t c = 0; c < configs.size(); ++c) {
     const ConfigRecord& rec = configs[c];
