@@ -6,10 +6,13 @@
 #include <cmath>
 #include <cstdio>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 
 #include "fvc/core/full_view.hpp"
 #include "fvc/io/checkpoint.hpp"
+#include "fvc/obs/metrics.hpp"
+#include "fvc/obs/number_text.hpp"
 #include "fvc/obs/run_metrics.hpp"
 #include "fvc/sim/thread_pool.hpp"
 
@@ -17,10 +20,41 @@ namespace fvc::api {
 
 namespace {
 
-void append_f(std::string& s, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  s += buf;
+/// The digest header: format tag, grid side, theta.
+std::string digest_header(std::size_t grid_side, double theta) {
+  std::string s = "fvc.session/1\ngrid-side=";
+  s += std::to_string(grid_side);
+  s += "\ntheta=";
+  obs::append_g17(s, theta);
+  s += '\n';
+  return s;
+}
+
+/// A camera's digest line: "cam=x y orientation radius fov group\n".
+void append_camera_line(std::string& s, const core::Camera& cam) {
+  s += "cam=";
+  for (const double v : {cam.position.x, cam.position.y, cam.orientation,
+                         cam.radius, cam.fov}) {
+    obs::append_g17(s, v);
+    s += ' ';
+  }
+  s += std::to_string(cam.group);
+  s += '\n';
+}
+
+/// The camera-list half of an edit: drop `cams[index]` when `erase`, put
+/// `*insert` there when non-null.  Its inverse is
+/// `splice_cameras(cams, index, insert != nullptr, erase ? &dropped : nullptr)`.
+void splice_cameras(std::vector<core::Camera>& cams, std::size_t index,
+                    bool erase, const core::Camera* insert) {
+  const auto at = cams.begin() + static_cast<std::ptrdiff_t>(index);
+  if (erase && insert != nullptr) {
+    *at = *insert;
+  } else if (erase) {
+    cams.erase(at);
+  } else if (insert != nullptr) {
+    cams.insert(at, *insert);
+  }
 }
 
 /// Torus distance between two y coordinates in [0, 1).
@@ -47,6 +81,8 @@ Session::Session(SessionConfig cfg)
       grain_(cfg.grain == 0 ? 1 : cfg.grain),
       metrics_(cfg.metrics),
       progress_(std::move(cfg.progress)),
+      text_(grid_.side(), theta_, cameras_),
+      digest_(text_.value()),
       cache_(cfg.cache_tiles) {
   core::validate_theta(theta_);
   if (tile_rows_ == 0) {
@@ -54,38 +90,69 @@ Session::Session(SessionConfig cfg)
   }
   net_ = std::make_unique<core::Network>(cameras_);
   engine_ = std::make_unique<core::GridEvalEngine>(*net_, grid_, theta_);
-  digest_ = compute_digest();
   if (metrics_ != nullptr) {
     engine_->describe(metrics_->child("engine"));
   }
 }
 
-std::uint64_t Session::compute_digest() const {
-  // Content-derived canonical form: an edit sequence returning to a prior
-  // deployment returns to its prior digest.  Doubles as %.17g (full
-  // round-trip, the repo-wide convention), one line per camera in index
-  // order — index order matters because remove/move address by index.
-  std::string canon = "fvc.session/1\ngrid-side=";
-  canon += std::to_string(grid_.side());
-  canon += "\ntheta=";
-  append_f(canon, theta_);
-  canon += '\n';
-  for (const core::Camera& cam : cameras_) {
-    canon += "cam=";
-    append_f(canon, cam.position.x);
-    canon += ' ';
-    append_f(canon, cam.position.y);
-    canon += ' ';
-    append_f(canon, cam.orientation);
-    canon += ' ';
-    append_f(canon, cam.radius);
-    canon += ' ';
-    append_f(canon, cam.fov);
-    canon += ' ';
-    canon += std::to_string(cam.group);
-    canon += '\n';
+// The canonical text is the header, then one line per camera in index
+// order — index order matters because remove/move address by index.
+// Construction appends every line; an edit touches its own line and
+// re-hashes from there, so the digest always equals config_digest64 of
+// the whole text.
+
+Session::DigestText::DigestText(std::size_t grid_side, double theta,
+                                const std::vector<core::Camera>& cameras)
+    : grid_side_(grid_side) {
+  begin_.reserve(cameras.size() + 1);
+  begin_.push_back(0);
+  for (const core::Camera& cam : cameras) {
+    append_camera_line(lines_, cam);
+    begin_.push_back(lines_.size());
   }
-  return io::config_digest64(canon);
+  state_.resize(begin_.size());
+  set_theta(theta);
+}
+
+void Session::DigestText::set_theta(double theta) {
+  state_[0] = io::fnv1a64(io::kFnv1a64Basis, digest_header(grid_side_, theta));
+  rehash_from(0);
+}
+
+void Session::DigestText::splice(std::size_t index, bool erase,
+                                 const core::Camera* insert) {
+  std::string line;
+  if (insert != nullptr) {
+    append_camera_line(line, *insert);
+  }
+  const std::size_t at = begin_[index];
+  const std::size_t old_len = erase ? begin_[index + 1] - at : 0;
+  if (erase && insert != nullptr && lines_.compare(at, old_len, line) == 0) {
+    return;  // same text, same states: a no-op move re-hashes nothing
+  }
+  lines_.replace(at, old_len, line);
+  // Every offset past the touched line shifts by the length change; then
+  // a pure erase drops a line end and a pure insert adds one.
+  for (std::size_t i = index + 1; i < begin_.size(); ++i) {
+    begin_[i] = begin_[i] - old_len + line.size();
+  }
+  const auto end_of_index = begin_.begin() + static_cast<std::ptrdiff_t>(index) + 1;
+  if (erase && insert == nullptr) {
+    begin_.erase(end_of_index);
+    state_.pop_back();
+  } else if (!erase && insert != nullptr) {
+    begin_.insert(end_of_index, at + line.size());
+    state_.push_back(0);
+  }
+  rehash_from(index);
+}
+
+void Session::DigestText::rehash_from(std::size_t line) {
+  const std::string_view text = lines_;
+  for (std::size_t i = line; i + 1 < begin_.size(); ++i) {
+    state_[i + 1] =
+        io::fnv1a64(state_[i], text.substr(begin_[i], begin_[i + 1] - begin_[i]));
+  }
 }
 
 std::string Session::digest_hex() const {
@@ -255,81 +322,96 @@ bool Session::disk_reaches_rows(const core::Camera& cam, std::size_t row_begin,
   return dy <= cam.radius;
 }
 
-void Session::rebuild_and_carry(const std::vector<core::Camera>& touched) {
+std::uint64_t Session::edit(std::size_t index, bool erase,
+                            std::optional<core::Camera> added, double theta) {
+  // Stage the camera list.  `added` is taken by value, so the caller may
+  // pass one of this session's own cameras; `removed` is both a touched
+  // camera (its disk dirties tiles) and the rollback value.
+  const core::Camera* insert = added ? &*added : nullptr;
+  const core::Camera removed = erase ? cameras_[index] : core::Camera{};
+  const double old_theta = theta_;
+  splice_cameras(cameras_, index, erase, insert);
+  theta_ = theta;
+
+  // Stage the digest lines, then build.  Clone-on-edit: a fresh network
+  // and engine, never an in-place mutation, so a failed build (invalid
+  // camera) leaves the live ones untouched.  Rolling back is the inverse
+  // splice — re-formatting `removed` gives its old line byte for byte.
+  const std::uint64_t t_stage = obs::monotonic_ns();
+  std::uint64_t t_digest = 0;
+  bool text_staged = false;
+  std::unique_ptr<core::Network> net;
+  std::unique_ptr<core::GridEvalEngine> engine;
+  try {
+    text_.splice(index, erase, insert);
+    if (theta != old_theta) {
+      text_.set_theta(theta);
+    }
+    text_staged = true;
+    t_digest = obs::monotonic_ns();
+    net = std::make_unique<core::Network>(cameras_);
+    engine = std::make_unique<core::GridEvalEngine>(*net, grid_, theta_);
+  } catch (...) {
+    if (text_staged) {
+      if (theta != old_theta) {
+        text_.set_theta(old_theta);
+      }
+      text_.splice(index, insert != nullptr, erase ? &removed : nullptr);
+    }
+    splice_cameras(cameras_, index, insert != nullptr, erase ? &removed : nullptr);
+    theta_ = old_theta;
+    throw;
+  }
+
+  // Commit, then carry clean tiles across the edit.  Entries keep their
+  // own theta_bits, so they stay truthful even across theta edits (and
+  // hit again if theta returns); only tiles a touched camera can reach
+  // are dropped.
+  const std::uint64_t t_rebuild = obs::monotonic_ns();
   const std::uint64_t old_digest = digest_;
-  // Clone-on-edit: a fresh network and engine, never an in-place mutation
-  // — a failed rebuild (invalid camera) must not leave the session
-  // half-edited, so build both before committing.
-  auto net = std::make_unique<core::Network>(cameras_);
-  auto engine = std::make_unique<core::GridEvalEngine>(*net, grid_, theta_);
   net_ = std::move(net);
   engine_ = std::move(engine);
-  digest_ = compute_digest();
-  // Carry clean tiles across the edit.  Entries keep their own
-  // theta_bits, so they stay truthful even across theta edits (and hit
-  // again if theta returns); only tiles a touched camera can reach are
-  // dropped.
+  digest_ = text_.value();
   cache_.carry_forward(old_digest, digest_,
                        [&](std::size_t row_begin, std::size_t row_end) {
-                         for (const core::Camera& cam : touched) {
-                           if (disk_reaches_rows(cam, row_begin, row_end)) {
-                             return false;
-                           }
-                         }
-                         return true;
+                         const bool dirty =
+                             (erase && disk_reaches_rows(removed, row_begin, row_end)) ||
+                             (insert != nullptr &&
+                              disk_reaches_rows(*insert, row_begin, row_end));
+                         return !dirty;
                        });
   if (metrics_ != nullptr) {
     metrics_->add("what_if_edits", 1.0);
+    metrics_->add("what_if_digest_ns", static_cast<double>(t_digest - t_stage));
+    metrics_->add("what_if_rebuild_ns", static_cast<double>(t_rebuild - t_digest));
+    metrics_->add("what_if_carry_ns",
+                  static_cast<double>(obs::monotonic_ns() - t_rebuild));
   }
+  return digest_;
 }
 
 std::uint64_t Session::add_camera(const core::Camera& cam) {
-  cameras_.push_back(cam);
-  try {
-    rebuild_and_carry({cam});
-  } catch (...) {
-    cameras_.pop_back();  // reject the edit, keep the session serving
-    throw;
-  }
-  return digest_;
+  return edit(cameras_.size(), false, cam, theta_);
 }
 
 std::uint64_t Session::remove_camera(std::size_t index) {
   if (index >= cameras_.size()) {
     throw std::out_of_range("remove_camera: index out of range");
   }
-  const core::Camera removed = cameras_[index];
-  cameras_.erase(cameras_.begin() + static_cast<std::ptrdiff_t>(index));
-  rebuild_and_carry({removed});
-  return digest_;
+  return edit(index, true, std::nullopt, theta_);
 }
 
 std::uint64_t Session::move_camera(std::size_t index, const core::Camera& cam) {
   if (index >= cameras_.size()) {
     throw std::out_of_range("move_camera: index out of range");
   }
-  const core::Camera before = cameras_[index];
-  cameras_[index] = cam;
-  try {
-    rebuild_and_carry({before, cam});
-  } catch (...) {
-    cameras_[index] = before;
-    throw;
-  }
-  return digest_;
+  return edit(index, true, cam, theta_);
 }
 
 std::uint64_t Session::set_theta(double theta) {
   core::validate_theta(theta);
-  const double before = theta_;
-  theta_ = theta;
-  try {
-    rebuild_and_carry({});  // theta is keyed per tile; no tile is dirtied
-  } catch (...) {
-    theta_ = before;
-    throw;
-  }
-  return digest_;
+  // theta is keyed per tile, so no tile is dirtied.
+  return edit(cameras_.size(), false, std::nullopt, theta);
 }
 
 }  // namespace fvc::api

@@ -23,16 +23,24 @@
 /// Point queries live on [0, 1]^2: coordinates outside it (NaN included)
 /// are rejected with `PointDomainError` before any point is evaluated.
 ///
-/// What-if edits (add / move / remove a camera, change theta) are
-/// clone-on-edit: the camera list is copied, a new Network and engine are
-/// built, and the digest is recomputed from content — so an edit sequence
-/// that returns to a prior deployment returns to its prior digest, and
-/// stale cache entries can never be confused with current ones.  Cache
-/// invalidation is scoped to *dirty* tiles: entries of the previous
-/// digest are re-keyed to the new one unless the edited camera's sensing
-/// disk can reach the tile's rows (a y-distance test, exact because
-/// coverage needs 2D distance <= radius and the y-distance lower-bounds
-/// it).
+/// The digest is FNV-1a over a canonical text: a header (grid side,
+/// theta) and one `cam=...` line per camera in index order, doubles as
+/// %.17g.  It is content-derived, so an edit sequence that returns to a
+/// prior deployment returns to its prior digest, and stale cache entries
+/// can never be confused with current ones.  The session keeps that text
+/// incrementally — the camera lines in one buffer plus the FNV-1a state
+/// at the start of every line — so an edit formats only the camera it
+/// touches and re-hashes from the first touched line on.
+///
+/// What-if edits (add / move / remove a camera, change theta) are one
+/// transaction: stage the camera list and its digest lines, build a new
+/// Network and engine, then commit — or, when the build throws (an
+/// invalid camera), roll the cameras, lines and hash states back and
+/// keep serving the previous deployment.  Cache invalidation is scoped
+/// to *dirty* tiles: entries of the previous digest are re-keyed to the
+/// new one unless the edited camera's sensing disk can reach the tile's
+/// rows (a y-distance test, exact because coverage needs 2D distance
+/// <= radius and the y-distance lower-bounds it).
 ///
 /// A Session is NOT thread-safe (queries mutate the cache and metrics);
 /// the serve layer serializes access under one mutex (the point batcher
@@ -42,7 +50,10 @@
 ///
 /// The metrics node exported at construction carries the engine's index
 /// resolution (`cells_target` / `cells_clamped`) and heap footprint
-/// (`index_bytes`).  Tile evaluation uses per-worker scratches, so the
+/// (`index_bytes`).  Each committed edit adds 1 to `what_if_edits` and
+/// its stage times to `what_if_digest_ns` (format + hash),
+/// `what_if_rebuild_ns` (Network + engine) and `what_if_carry_ns` (cache
+/// carry-forward).  Tile evaluation uses per-worker scratches, so the
 /// row-slice cache works the same under serve as in batch scans; point
 /// queries gather their candidates off-lattice and never touch a row
 /// slice.
@@ -52,6 +63,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -168,9 +180,11 @@ class Session {
   /// `sim::evaluate_region_parallel` / `core::evaluate_region`.
   [[nodiscard]] RegionAnswer query_region(double y_lo, double y_hi);
 
-  /// What-if edits.  Each clones the deployment, rebuilds network +
-  /// engine, recomputes the digest, carries clean cache tiles forward,
-  /// and returns the new digest.
+  /// What-if edits.  Each rebuilds network + engine over the edited
+  /// deployment, updates the digest from the touched camera lines on,
+  /// carries clean cache tiles forward, and returns the new digest.  An
+  /// edit that throws leaves the session exactly as it was.
+  /// \throws std::invalid_argument on an invalid camera or theta
   std::uint64_t add_camera(const core::Camera& cam);
   /// \throws std::out_of_range on a bad index
   std::uint64_t remove_camera(std::size_t index);
@@ -179,11 +193,35 @@ class Session {
   std::uint64_t set_theta(double theta);
 
  private:
-  /// Rebuild network/engine/digest after `cameras_`/`theta_` changed,
-  /// then carry forward cache entries for which `keep_all` or the tile is
-  /// out of reach of every camera in `touched` (y-disk test).
-  void rebuild_and_carry(const std::vector<core::Camera>& touched);
-  [[nodiscard]] std::uint64_t compute_digest() const;
+  /// The digest's canonical text, kept incrementally: the header, the
+  /// camera lines in one buffer, and the FNV-1a state at the start of
+  /// every line (`state_[n]` is the digest).
+  class DigestText {
+   public:
+    DigestText(std::size_t grid_side, double theta,
+               const std::vector<core::Camera>& cameras);
+    [[nodiscard]] std::uint64_t value() const { return state_.back(); }
+    /// Drop line `index` when `erase`, put `*insert`'s line there when
+    /// non-null, and re-hash from `index` on.
+    void splice(std::size_t index, bool erase, const core::Camera* insert);
+    /// New header; re-hashes every (cached) camera line.
+    void set_theta(double theta);
+
+   private:
+    void rehash_from(std::size_t line);
+
+    std::size_t grid_side_;
+    std::string lines_;               ///< camera lines, index order
+    std::vector<std::size_t> begin_;  ///< n + 1 line offsets into lines_
+    std::vector<std::uint64_t> state_;  ///< n + 1 FNV-1a states
+  };
+
+  /// The one edit path, in splice form: drop camera `index` when `erase`,
+  /// put `added` there when set, serve under `theta`.  Stages the cameras
+  /// and digest lines, rebuilds, then commits (carrying clean tiles
+  /// forward) or rolls back and rethrows.
+  std::uint64_t edit(std::size_t index, bool erase,
+                     std::optional<core::Camera> added, double theta);
   [[nodiscard]] TileKey key_for(std::size_t row_begin, std::size_t row_end) const;
   /// True when `cam`'s sensing disk can reach any cell-center row of
   /// [row_begin, row_end).
@@ -202,6 +240,7 @@ class Session {
 
   std::unique_ptr<core::Network> net_;
   std::unique_ptr<core::GridEvalEngine> engine_;
+  DigestText text_;
   std::uint64_t digest_ = 0;
   TileCache cache_;
   /// Reused by `query_points` (the session is externally serialized, so

@@ -1,8 +1,9 @@
 #include "fvc/api/wire.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+
+#include "fvc/obs/number_text.hpp"
 
 namespace fvc::api {
 
@@ -271,12 +272,10 @@ void JsonObjectWriter::add_string(std::string_view key, std::string_view value) 
 
 void JsonObjectWriter::add_number(std::string_view key, double value) {
   sep();
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
   body_ += '"';
   append_escaped(body_, key);
   body_ += "\":";
-  body_ += buf;
+  obs::append_g17(body_, value);
 }
 
 void JsonObjectWriter::add_integer(std::string_view key, std::uint64_t value) {
@@ -301,13 +300,11 @@ void JsonObjectWriter::add_number_array(std::string_view key,
   body_ += '"';
   append_escaped(body_, key);
   body_ += "\":[";
-  char buf[32];
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i != 0) {
       body_ += ',';
     }
-    std::snprintf(buf, sizeof buf, "%.17g", values[i]);
-    body_ += buf;
+    obs::append_g17(body_, values[i]);
   }
   body_ += ']';
 }

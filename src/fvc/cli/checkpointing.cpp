@@ -1,10 +1,10 @@
 #include "fvc/cli/checkpointing.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
 
+#include "fvc/obs/number_text.hpp"
 #include "fvc/report/table.hpp"
 #include "fvc/sim/monte_carlo.hpp"
 #include "fvc/sim/phase_scan.hpp"
@@ -34,9 +34,10 @@ CheckpointOptions checkpoint_options_from(const Args& args) {
 }
 
 void CanonicalConfig::add(std::string_view key, double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  text_ += std::string(key) + "=" + buf + ";";
+  text_ += key;
+  text_ += '=';
+  obs::append_g17(text_, value);
+  text_ += ';';
 }
 
 void CanonicalConfig::add(std::string_view key, std::uint64_t value) {

@@ -10,6 +10,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "fvc/obs/number_text.hpp"
+
 namespace fvc::io {
 
 namespace {
@@ -19,9 +21,7 @@ void append_double(std::string& out, double value) {
   if (!std::isfinite(value)) {
     throw std::runtime_error("checkpoint: payload values must be finite");
   }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out += buf;
+  obs::append_g17(out, value);
 }
 
 void append_hex64(std::string& out, std::uint64_t value) {
@@ -221,13 +221,15 @@ bool Checkpoint::complete() const {
 }
 
 std::uint64_t config_digest64(std::string_view canonical) {
-  // FNV-1a, 64-bit.
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : canonical) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
+  return fnv1a64(kFnv1a64Basis, canonical);
+}
+
+std::uint64_t fnv1a64(std::uint64_t state, std::string_view bytes) {
+  for (const char c : bytes) {
+    state ^= static_cast<unsigned char>(c);
+    state *= 0x100000001b3ULL;
   }
-  return hash;
+  return state;
 }
 
 void write_checkpoint(std::ostream& os, const Checkpoint& cp) {

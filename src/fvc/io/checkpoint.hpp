@@ -69,6 +69,14 @@ struct Checkpoint {
 /// produced under a different configuration.
 [[nodiscard]] std::uint64_t config_digest64(std::string_view canonical);
 
+/// The FNV-1a state `config_digest64` starts from (the offset basis).
+inline constexpr std::uint64_t kFnv1a64Basis = 0xcbf29ce484222325ULL;
+
+/// Continues an FNV-1a state over `bytes`, so a digest can be kept
+/// incrementally: `config_digest64(a + b)` equals
+/// `fnv1a64(fnv1a64(kFnv1a64Basis, a), b)`.
+[[nodiscard]] std::uint64_t fnv1a64(std::uint64_t state, std::string_view bytes);
+
 /// Serialize to / parse from the fvc.checkpoint/1 JSON document.
 /// \throws std::runtime_error on malformed input, an unknown schema tag,
 /// or non-finite payload values (the format has no encoding for them).

@@ -7,6 +7,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "fvc/obs/number_text.hpp"
+
 namespace fvc::obs {
 
 namespace {
@@ -54,9 +56,8 @@ void write_number(std::ostream& os, double v) {
     os << static_cast<long long>(v);
     return;
   }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  os << buf;
+  char buf[kG17Chars];
+  os.write(buf, format_g17(buf, v) - buf);
 }
 
 void indent(std::ostream& os, int depth) {

@@ -1,14 +1,18 @@
 /// Session facade tests: what-if edit -> scoped invalidation -> re-query
 /// matches a fresh build bit-exactly; LRU eviction accounting; digest
-/// changes on every edit (and round-trips with content).
+/// changes on every edit (and round-trips with content); the incremental
+/// digest equals the from-scratch one after every edit, rejected ones
+/// included.
 
 #include "fvc/api/session.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fvc/api/tile_cache.hpp"
@@ -16,6 +20,8 @@
 #include "fvc/core/region_coverage.hpp"
 #include "fvc/deploy/uniform.hpp"
 #include "fvc/geometry/angle.hpp"
+#include "fvc/io/checkpoint.hpp"
+#include "fvc/stats/distributions.hpp"
 #include "fvc/stats/rng.hpp"
 
 namespace fvc {
@@ -160,6 +166,122 @@ TEST(ApiSession, DigestChangesOnEveryEditAndRoundTrips) {
   const std::uint64_t back = session.remove_camera(session.camera_count() - 1);
   EXPECT_EQ(back, base);
   EXPECT_EQ(session.digest(), base);
+}
+
+void append_f(std::string& s, double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  s += buf;
+}
+
+/// The from-scratch digest the session once recomputed on every edit,
+/// kept verbatim (snprintf formatting, one pass over every camera) as the
+/// oracle for the incremental one.
+std::uint64_t reference_digest(const api::Session& session) {
+  // Content-derived canonical form: an edit sequence returning to a prior
+  // deployment returns to its prior digest.  Doubles as %.17g (full
+  // round-trip, the repo-wide convention), one line per camera in index
+  // order — index order matters because remove/move address by index.
+  std::string canon = "fvc.session/1\ngrid-side=";
+  canon += std::to_string(session.grid_side());
+  canon += "\ntheta=";
+  append_f(canon, session.theta());
+  canon += '\n';
+  for (std::size_t i = 0; i < session.camera_count(); ++i) {
+    const core::Camera& cam = session.camera(i);
+    canon += "cam=";
+    append_f(canon, cam.position.x);
+    canon += ' ';
+    append_f(canon, cam.position.y);
+    canon += ' ';
+    append_f(canon, cam.orientation);
+    canon += ' ';
+    append_f(canon, cam.radius);
+    canon += ' ';
+    append_f(canon, cam.fov);
+    canon += ' ';
+    canon += std::to_string(cam.group);
+    canon += '\n';
+  }
+  return io::config_digest64(canon);
+}
+
+/// The session's digest equals the oracle and a fresh session's.
+void expect_digest_is_fresh(const api::Session& session, const char* step) {
+  EXPECT_EQ(session.digest(), reference_digest(session)) << step;
+  std::vector<core::Camera> cams;
+  for (std::size_t i = 0; i < session.camera_count(); ++i) {
+    cams.push_back(session.camera(i));
+  }
+  EXPECT_EQ(session.digest(), make_session(cams, session.theta()).digest()) << step;
+}
+
+TEST(ApiSession, IncrementalDigestMatchesFromScratchOracle) {
+  api::Session session = make_session(test_cameras(40));
+  expect_digest_is_fresh(session, "construction");
+  stats::Pcg32 rng(2024);
+  const auto random_camera = [&] {
+    core::Camera cam;
+    cam.position = {stats::uniform01(rng), stats::uniform01(rng)};
+    cam.orientation = stats::uniform_in(rng, 0.0, geom::kTwoPi);
+    cam.radius = stats::uniform_in(rng, 0.05, 0.3);
+    cam.fov = stats::uniform_in(rng, 0.5, 3.0);
+    cam.group = stats::uniform_below(rng, 3);
+    return cam;
+  };
+  core::Camera invalid = random_camera();
+  invalid.radius = -0.1;
+  for (int step = 0; step < 120; ++step) {
+    const std::size_t n = session.camera_count();
+    const std::uint64_t before = session.digest();
+    switch (stats::uniform_below(rng, 8)) {
+      case 0:
+        (void)session.add_camera(random_camera());
+        break;
+      case 1:
+        (void)session.remove_camera(0);
+        break;
+      case 2:
+        (void)session.remove_camera(n / 2);
+        break;
+      case 3:
+        (void)session.remove_camera(n - 1);
+        break;
+      case 4:
+        (void)session.move_camera(
+            stats::uniform_below(rng, static_cast<std::uint32_t>(n)), random_camera());
+        break;
+      case 5: {
+        const double theta = session.theta();
+        (void)session.set_theta(stats::uniform_in(rng, 0.3, geom::kPi));
+        expect_digest_is_fresh(session, "set_theta");
+        EXPECT_EQ(session.set_theta(theta), before);
+        break;
+      }
+      case 6: {
+        EXPECT_THROW((void)session.add_camera(invalid), std::invalid_argument);
+        EXPECT_EQ(session.camera_count(), n);
+        EXPECT_EQ(session.digest(), before);
+        break;
+      }
+      default: {
+        const std::size_t i = stats::uniform_below(rng, static_cast<std::uint32_t>(n));
+        const core::Camera kept = session.camera(i);
+        EXPECT_THROW((void)session.move_camera(i, invalid), std::invalid_argument);
+        EXPECT_EQ(session.camera(i).position.x, kept.position.x);
+        EXPECT_EQ(session.digest(), before);
+        break;
+      }
+    }
+    expect_digest_is_fresh(session, std::to_string(step).c_str());
+    if (session.camera_count() < 8) {
+      (void)session.add_camera(random_camera());
+    }
+  }
+  // A rejected edit also leaves the engine and cache serving the
+  // previous deployment.
+  EXPECT_THROW((void)session.add_camera(invalid), std::invalid_argument);
+  expect_matches_fresh(session, 0.0, 1.0);
 }
 
 TEST(ApiSession, WhatIfEditsRequeryBitIdenticalToFreshBuild) {

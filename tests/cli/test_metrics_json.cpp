@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "fvc/api/client.hpp"
 #include "fvc/cli/command_registry.hpp"
 #include "fvc/cli/commands.hpp"
 #include "support/minijson.hpp"
@@ -162,6 +163,19 @@ TEST(MetricsJson, EveryCommandEmitsAValidDocument) {
             std::string::npos)
       << top.output;
 
+  // One add and one remove, so the session node carries what-if books.
+  {
+    api::Client client(sock);
+    EXPECT_NE(client
+                  .request("{\"op\":\"what_if\",\"action\":\"add\",\"x\":0.5,"
+                           "\"y\":0.5,\"radius\":0.2,\"fov\":2}")
+                  .find("\"ok\":true"),
+              std::string::npos);
+    EXPECT_NE(client.request("{\"op\":\"what_if\",\"action\":\"remove\",\"index\":40}")
+                  .find("\"ok\":true"),
+              std::string::npos);
+  }
+
   request_active_command_stop();
   server.join();
   EXPECT_EQ(serve_code, kExitCancelled);
@@ -170,7 +184,15 @@ TEST(MetricsJson, EveryCommandEmitsAValidDocument) {
   std::stringstream ss;
   ss << is.rdbuf();
   std::remove(serve_metrics.c_str());
-  check_document(parse_json(ss.str()), "serve");
+  const JsonValue serve_doc = parse_json(ss.str());
+  check_document(serve_doc, "serve");
+  // Each edit's cost is attributed per stage beside the edit count.
+  const JsonValue& session = child_named(serve_doc.at("root"), "session");
+  EXPECT_DOUBLE_EQ(session.at("counters").at("what_if_edits").number(), 2.0);
+  for (const char* key :
+       {"what_if_digest_ns", "what_if_rebuild_ns", "what_if_carry_ns"}) {
+    EXPECT_GT(session.at("counters").at(key).number(), 0.0) << key;
+  }
   EXPECT_NE(serve_out.str().find("metrics: wrote"), std::string::npos);
 }
 

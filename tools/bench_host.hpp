@@ -1,6 +1,6 @@
 /// \file bench_host.hpp
 /// \brief The `host` block shared by the bench record writers
-/// (bench_compare, bench_scale): which machine and build produced a
+/// (bench_compare, bench_scale, bench_serve): which machine and build produced a
 /// record, so a timing is only ever compared with one from the same host
 /// and configuration.  The compiler, flags and build type come from
 /// compile definitions set in tools/CMakeLists.txt.

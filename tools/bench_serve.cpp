@@ -59,7 +59,8 @@
 ///   radius/fov/theta/tile-rows are pinned to the serve defaults
 ///   (0.15 / 2.0 / pi/2 / 8); start the daemon accordingly.
 ///
-/// Writes a fvc.bench_serve/4 JSON record: offered vs achieved QPS,
+/// Writes a fvc.bench_serve/5 JSON record: the shared `host` block
+/// (bench_host.hpp), offered vs achieved QPS,
 /// client-side latency percentiles (measured from the *scheduled* send
 /// time, so queueing delay is charged to the daemon), per-op counts,
 /// daemon-side percentiles and cache hit rate from the `stats` verb, the
@@ -93,6 +94,8 @@
 #include "fvc/deploy/uniform.hpp"
 #include "fvc/geometry/angle.hpp"
 #include "fvc/stats/rng.hpp"
+
+#include "bench_host.hpp"
 
 namespace {
 
@@ -765,7 +768,7 @@ int main(int argc, char** argv) {
   std::snprintf(
       buf, sizeof buf,
       "{\n"
-      "  \"schema\": \"fvc.bench_serve/4\",\n"
+      "  \"schema\": \"fvc.bench_serve/5\",\n"
       "  \"bench\": \"serve_open_loop\",\n"
       "  \"digest\": \"%s\",\n"
       "  \"n\": %zu,\n"
@@ -775,6 +778,7 @@ int main(int argc, char** argv) {
       "  \"target_qps\": %.1f,\n"
       "  \"connections\": %zu,\n"
       "  \"hardware_concurrency\": %u,\n"
+      "  \"host\": %s,\n"
       "  \"requests_issued_total\": %llu,\n"
       "  \"verify\": {\"requests\": %llu, \"mismatches\": %llu},\n"
       "  \"load\": {\n"
@@ -824,7 +828,7 @@ int main(int argc, char** argv) {
       "  \"results_bit_identical\": %s\n"
       "}\n",
       digest_hex.c_str(), n, seed, grid_side, seconds, qps, connections,
-      std::thread::hardware_concurrency(),
+      std::thread::hardware_concurrency(), fvc::tools::host_json().c_str(),
       static_cast<unsigned long long>(requests_issued_total),
       static_cast<unsigned long long>(verify_requests),
       static_cast<unsigned long long>(verify_mismatches),
