@@ -5,7 +5,7 @@
 /// connection) but serializes Session access under one mutex — the
 /// parallelism that matters lives *inside* each region query, where the
 /// Session batches missing tiles into the SIMD kernel through
-/// `sim::parallel_for_blocked`.  Serialization is also what makes
+/// `sim::parallel_for`.  Serialization is also what makes
 /// concurrent clients deterministic: every request sees a consistent
 /// deployment digest, and interleaved what-if edits cannot tear a query.
 ///

@@ -78,7 +78,6 @@ Session::Session(SessionConfig cfg)
       grid_(cfg.grid_side),
       tile_rows_(cfg.tile_rows),
       threads_(cfg.threads == 0 ? sim::default_thread_count() : cfg.threads),
-      grain_(cfg.grain == 0 ? 1 : cfg.grain),
       metrics_(cfg.metrics),
       progress_(std::move(cfg.progress)),
       text_(grid_.side(), theta_, cameras_),
@@ -255,19 +254,15 @@ RegionAnswer Session::query_region(double y_lo, double y_hi) {
     std::vector<core::GridEvalScratch> scratches(workers);
     std::mutex progress_mutex;
     std::size_t done = ans.tiles_cached;
-    sim::parallel_for_blocked(
-        missing.size(), workers, grain_,
-        [&](std::size_t begin, std::size_t end, std::size_t worker) {
-          for (std::size_t m = begin; m < end; ++m) {
-            Tile& t = tiles[missing[m]];
-            t.stats = engine_->block_stats(t.begin, t.end, scratches[worker]);
-            if (progress_) {
-              const std::lock_guard<std::mutex> lock(progress_mutex);
-              ++done;
-              progress_(done, ans.tiles_total);
-            }
-          }
-        });
+    sim::parallel_for(missing.size(), workers, [&](std::size_t m, std::size_t worker) {
+      Tile& t = tiles[missing[m]];
+      t.stats = engine_->block_stats(t.begin, t.end, scratches[worker]);
+      if (progress_) {
+        const std::lock_guard<std::mutex> lock(progress_mutex);
+        ++done;
+        progress_(done, ans.tiles_total);
+      }
+    });
     for (const std::size_t m : missing) {
       const Tile& t = tiles[m];
       cache_.insert(key_for(t.begin, t.end), t.stats);
@@ -275,24 +270,12 @@ RegionAnswer Session::query_region(double y_lo, double y_hi) {
   }
 
   // Row-order fold over the band — the exact reduction of the serial scan
-  // (see sim/parallel_region.cpp), so cached and computed tiles are
+  // (`core::fold_row_stats`), so cached and computed tiles are
   // indistinguishable and a whole-grid query matches evaluate_region
   // bit-for-bit.
   ans.stats.total_points = (row_end - row_begin) * side;
   for (std::size_t i = 0; i < tiles.size(); ++i) {
-    const core::GridRowStats& bs = tiles[i].stats;
-    ans.stats.covered_1 += bs.covered_1;
-    ans.stats.necessary_ok += bs.necessary_ok;
-    ans.stats.full_view_ok += bs.full_view_ok;
-    ans.stats.sufficient_ok += bs.sufficient_ok;
-    ans.stats.k_covered_ok += bs.k_covered_ok;
-    if (i == 0) {
-      ans.stats.min_max_gap = bs.min_max_gap;
-      ans.stats.max_max_gap = bs.max_max_gap;
-    } else {
-      ans.stats.min_max_gap = std::min(ans.stats.min_max_gap, bs.min_max_gap);
-      ans.stats.max_max_gap = std::max(ans.stats.max_max_gap, bs.max_max_gap);
-    }
+    core::fold_row_stats(ans.stats, tiles[i].stats, i == 0);
   }
   if (metrics_ != nullptr) {
     metrics_->add("region_queries", 1.0);

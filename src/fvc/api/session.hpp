@@ -16,9 +16,9 @@
 ///     `meets_sufficient_condition`) a fresh CLI process runs — one path,
 ///     so a point gets the same bytes alone or batched;
 ///   * `query_region` folds `GridEvalEngine::block_stats` tiles in row
-///     order, replaying the serial reduction exactly (the contract of
-///     sim/parallel_region.hpp), whether a tile came from the cache or
-///     was just computed — so cache hits are unobservable in the answer.
+///     order through `core::fold_row_stats`, replaying the serial
+///     reduction exactly, whether a tile came from the cache or was just
+///     computed — so cache hits are unobservable in the answer.
 ///
 /// Point queries live on [0, 1]^2: coordinates outside it (NaN included)
 /// are rejected with `PointDomainError` before any point is evaluated.
@@ -46,7 +46,7 @@
 /// the serve layer serializes access under one mutex (the point batcher
 /// takes it once per round) and keeps parallelism *inside* each region
 /// query, where missing tiles are evaluated concurrently through
-/// `sim::parallel_for_blocked` into the SIMD kernel.
+/// `sim::parallel_for` (one tile per claim) into the SIMD kernel.
 ///
 /// The metrics node exported at construction carries the engine's index
 /// resolution (`cells_target` / `cells_clamped`) and heap footprint
@@ -92,7 +92,6 @@ struct SessionConfig {
   std::size_t tile_rows = 8;          ///< rows per cache tile (>= 1)
   std::size_t cache_tiles = 1024;     ///< LRU capacity, in tiles
   std::size_t threads = 0;            ///< workers per region query; 0 = auto
-  std::size_t grain = 1;              ///< tiles per scheduler claim
   /// Metrics destination (null = no collection).  Not owned.
   obs::MetricsNode* metrics = nullptr;
   /// Progress feed (tiles done / tiles total per region query) — the
@@ -234,7 +233,6 @@ class Session {
   core::DenseGrid grid_;
   std::size_t tile_rows_;
   std::size_t threads_;
-  std::size_t grain_;
   obs::MetricsNode* metrics_;
   obs::ProgressFn progress_;
 

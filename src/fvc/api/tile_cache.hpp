@@ -6,8 +6,8 @@
 /// `core::GridRowStats` — the row-order fold `GridEvalEngine::block_stats`
 /// produces.  Because block folds reduce in row order, replaying cached
 /// tiles of a partition of [0, rows) in ascending row order reproduces the
-/// serial whole-grid reduction bit-exactly (the same contract
-/// sim/parallel_region.hpp relies on), so a cache hit is indistinguishable
+/// serial whole-grid reduction bit-exactly (`core::fold_row_stats`), so a
+/// cache hit is indistinguishable
 /// from re-evaluation.
 ///
 /// Keys carry everything the tile's value depends on: the deployment

@@ -193,11 +193,6 @@ const std::vector<FlagSpec>& global_flags() {
       {"kernel", "NAME", "",
        "pin the grid-eval kernel variant (scalar|generic|avx2|neon); "
        "results are bit-identical, only speed changes"},
-      {"grain", "G", "",
-       "indices per parallel-scheduler claim: rows per block for grid "
-       "scans (0 or unset = auto: rows/(4*threads)), trials per claim for "
-       "Monte-Carlo runs (auto = 1); results are bit-identical, only "
-       "speed changes"},
       {"trace", "FILE", "",
        "write a fvc.trace/1 Chrome-trace JSON timeline of the run to FILE "
        "(open in Perfetto or chrome://tracing)"},

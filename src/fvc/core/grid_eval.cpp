@@ -1208,19 +1208,7 @@ GridRowStats GridEvalEngine::block_stats(std::size_t row_begin, std::size_t row_
   // partitions recombine bit-exactly.
   GridRowStats acc;
   for (std::size_t row = row_begin; row < row_end; ++row) {
-    const GridRowStats rs = row_stats(row, scratch);
-    acc.covered_1 += rs.covered_1;
-    acc.necessary_ok += rs.necessary_ok;
-    acc.full_view_ok += rs.full_view_ok;
-    acc.sufficient_ok += rs.sufficient_ok;
-    acc.k_covered_ok += rs.k_covered_ok;
-    if (row == row_begin) {
-      acc.min_max_gap = rs.min_max_gap;
-      acc.max_max_gap = rs.max_max_gap;
-    } else {
-      acc.min_max_gap = std::min(acc.min_max_gap, rs.min_max_gap);
-      acc.max_max_gap = std::max(acc.max_max_gap, rs.max_max_gap);
-    }
+    fold_row_stats(acc, row_stats(row, scratch), row == row_begin);
   }
   return acc;
 }
@@ -1232,19 +1220,7 @@ RegionCoverageStats GridEvalEngine::evaluate(GridEvalScratch& scratch) const {
   RegionCoverageStats stats;
   stats.total_points = grid_.size();
   for (std::size_t row = 0; row < rows(); ++row) {
-    const GridRowStats rs = row_stats(row, scratch);
-    stats.covered_1 += rs.covered_1;
-    stats.necessary_ok += rs.necessary_ok;
-    stats.full_view_ok += rs.full_view_ok;
-    stats.sufficient_ok += rs.sufficient_ok;
-    stats.k_covered_ok += rs.k_covered_ok;
-    if (row == 0) {
-      stats.min_max_gap = rs.min_max_gap;
-      stats.max_max_gap = rs.max_max_gap;
-    } else {
-      stats.min_max_gap = std::min(stats.min_max_gap, rs.min_max_gap);
-      stats.max_max_gap = std::max(stats.max_max_gap, rs.max_max_gap);
-    }
+    fold_row_stats(stats, row_stats(row, scratch), row == 0);
   }
   return stats;
 }

@@ -42,14 +42,13 @@
 ///      every variant gathers the same covered set, and every answer is
 ///      bit-identical (enforced by tests/core/test_grid_eval_kernels).
 ///   4. *Row batching* — rows are independent work units, so callers can
-///      evaluate them serially (`evaluate`), or hand contiguous row blocks
-///      to `sim::parallel_for_blocked` via `block_stats` and merge the
-///      per-block results in block order (`sim::evaluate_region_parallel`),
-///      which keeps results bit-identical for any thread count and grain.
-///      The candidate index piggybacks on this shape: each worker's
-///      scratch caches the current row's candidate slice, built once per
-///      (engine, row) and reused across the row's points and across the
-///      blocks a worker claims.
+///      evaluate them serially (`evaluate`), or hand one row per claim to
+///      `sim::parallel_for` via `row_stats` and fold the per-row results
+///      in row order (`sim::evaluate_region_parallel`), which keeps
+///      results bit-identical for any thread count.  The candidate index
+///      piggybacks on this shape: each worker's scratch caches the current
+///      row's candidate slice, built once per (engine, row) and reused
+///      across the row's points.
 ///
 /// Determinism contract: for a fixed (network, grid, theta) every method is
 /// a pure function of its arguments, and every result is **bit-identical**
@@ -63,6 +62,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -180,7 +180,7 @@ struct GridEvalScratch {
   /// columns replicate near-seam cameras so every per-point window is one
   /// contiguous, duplicate-free range).  Built lazily, keyed by
   /// (engine generation, row) so a scratch can serve many engines and a
-  /// worker revisits a row's slice for free across block_stats blocks.
+  /// row's points share one build.
   struct RowSlice {
     std::uint64_t engine_gen = 0;  ///< 0 = empty (generations start at 1)
     std::size_t row = 0;
@@ -204,6 +204,28 @@ struct GridRowStats {
   double min_max_gap = 0.0;  ///< over the row's points
   double max_max_gap = 0.0;
 };
+
+/// One step of the row-order reduction: fold `next` into `acc` (a
+/// `GridRowStats` or `RegionCoverageStats`).  Counts add; the gap extremes
+/// are initialized by the `first` fold and min/max-ed after it.  Every
+/// reduction over rows or row tiles (the serial scan, `block_stats`, the
+/// parallel row scan, the serve tile fold) goes through this step in row
+/// order, so any partition of the rows recombines bit-exactly.
+template <class Acc>
+void fold_row_stats(Acc& acc, const GridRowStats& next, bool first) {
+  acc.covered_1 += next.covered_1;
+  acc.necessary_ok += next.necessary_ok;
+  acc.full_view_ok += next.full_view_ok;
+  acc.sufficient_ok += next.sufficient_ok;
+  acc.k_covered_ok += next.k_covered_ok;
+  if (first) {
+    acc.min_max_gap = next.min_max_gap;
+    acc.max_max_gap = next.max_max_gap;
+  } else {
+    acc.min_max_gap = std::min(acc.min_max_gap, next.min_max_gap);
+    acc.max_max_gap = std::max(acc.max_max_gap, next.max_max_gap);
+  }
+}
 
 /// Fused three-predicate answer at one (possibly off-lattice) point.
 struct PointEval {
@@ -255,10 +277,8 @@ class GridEvalEngine {
   /// All predicates fused over the contiguous row block
   /// [row_begin, row_end), reduced in row order — so folding the per-block
   /// results of a partition of [0, rows()) in block order replays the
-  /// serial scan's reduction exactly (the blocked scheduler's bit-identity
-  /// contract; see sim/parallel_region.hpp).  One engine call per block
-  /// keeps the parallel scan's callback cost at one indirection per block
-  /// rather than per row.  \pre row_begin < row_end <= rows()
+  /// serial scan's reduction exactly (the serve layer's tile contract; see
+  /// api/session.hpp).  \pre row_begin < row_end <= rows()
   [[nodiscard]] GridRowStats block_stats(std::size_t row_begin, std::size_t row_end,
                                          GridEvalScratch& scratch) const;
 

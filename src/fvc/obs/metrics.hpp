@@ -3,7 +3,7 @@
 ///
 /// `fvc::obs` is the feedback loop behind the "as fast as the hardware
 /// allows" goal: counters, timers and hierarchical spans that the engine
-/// layers (core::GridEvalEngine, sim::parallel_for_blocked, the Monte-Carlo
+/// layers (core::GridEvalEngine, sim::parallel_for, the Monte-Carlo
 /// estimators) fill in when a caller asks for metrics, and that the CLI
 /// exports as one schema-versioned JSON document per run (`--metrics`).
 ///
@@ -14,7 +14,7 @@
 /// results.  The primitives here have no internal synchronization; the
 /// engine idiom is per-worker (or per-row / per-trial slot) instances
 /// merged deterministically by the caller, exactly like the result slots
-/// of sim::parallel_for_blocked.
+/// of sim::parallel_for.
 
 #pragma once
 

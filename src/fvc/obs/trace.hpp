@@ -52,7 +52,7 @@ namespace fvc::obs {
 /// field so timelines can be filtered per layer.
 enum class TraceCategory : std::uint8_t {
   kEngine,    ///< core::GridEvalEngine (builds, whole-grid scans)
-  kPool,      ///< sim::parallel_for_blocked (workers, blocks, queue waits)
+  kPool,      ///< sim::parallel_for (workers, per-index slices, queue waits)
   kTrial,     ///< Monte-Carlo trials and estimates
   kScan,      ///< sweeps, phase scans, threshold searches
   kWatchdog,  ///< stall detection

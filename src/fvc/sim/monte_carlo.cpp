@@ -20,49 +20,9 @@ stats::Interval EventEstimate::wilson(double z) const {
   return stats::wilson_interval(successes, trials, z);
 }
 
-namespace {
-
-/// Bare estimator: no cancellation/progress/metrics/shard machinery at all
-/// — the fast path the default (empty) RunOptions resolve to.
-GridEventsEstimate estimate_grid_events_bare(const TrialConfig& cfg,
-                                             std::size_t trials,
-                                             std::uint64_t master_seed,
-                                             std::size_t threads) {
-  if (trials == 0) {
-    throw std::invalid_argument("estimate_grid_events: trials must be >= 1");
-  }
-  validate(cfg);
-  std::vector<TrialEvents> results(trials);
-  // Grain 1 (one trial per claim): trial costs vary wildly between early
-  // exits and full scans, so fine-grained claiming is what balances them.
-  parallel_for_blocked(trials, threads, 1,
-                       [&](std::size_t begin, std::size_t end, std::size_t) {
-                         for (std::size_t t = begin; t < end; ++t) {
-                           const obs::TraceScope scope(
-                               "trial", obs::TraceCategory::kTrial, "index", t);
-                           results[t] =
-                               run_trial_events(cfg, stats::mix64(master_seed, t));
-                         }
-                       });
-  GridEventsEstimate est;
-  est.necessary.trials = est.full_view.trials = est.sufficient.trials = trials;
-  for (const TrialEvents& ev : results) {
-    est.necessary.successes += ev.all_necessary ? 1 : 0;
-    est.full_view.successes += ev.all_full_view ? 1 : 0;
-    est.sufficient.successes += ev.all_sufficient ? 1 : 0;
-  }
-  return est;
-}
-
-}  // namespace
-
 GridEventsEstimate estimate_grid_events(const TrialConfig& cfg, std::size_t trials,
                                         std::uint64_t master_seed, std::size_t threads,
                                         const RunOptions& options) {
-  if (options.cancel == nullptr && !options.progress && options.metrics == nullptr &&
-      options.trial_indices.empty() && !options.on_trial && options.grain <= 1) {
-    return estimate_grid_events_bare(cfg, trials, master_seed, threads);
-  }
   if (trials == 0) {
     throw std::invalid_argument("estimate_grid_events: trials must be >= 1");
   }
@@ -122,16 +82,10 @@ GridEventsEstimate estimate_grid_events(const TrialConfig& cfg, std::size_t tria
       }
     }
   };
-  // Default grain 1 — see RunOptions::grain.  A cancelled run still
-  // finishes only the blocks already claimed, so the cancellation latency
-  // grows with the grain; that trade is the caller's via --grain.
-  parallel_for_blocked(
-      work, threads, options.grain == 0 ? 1 : options.grain,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t w = begin; w < end; ++w) {
-          run_slot(w);
-        }
-      },
+  // One trial per claim: trial costs vary wildly between early exits and
+  // full scans, so fine-grained claiming is what balances them.
+  parallel_for(
+      work, threads, [&](std::size_t w, std::size_t) { run_slot(w); },
       metered ? &pool : nullptr);
 
   GridEventsEstimate est;
@@ -239,20 +193,13 @@ FractionEstimate estimate_fractions(const TrialConfig& cfg, std::size_t trials,
     std::size_t deployed = 0;
   };
   std::vector<PerTrial> results(trials);
-  // Grain 1: each trial is a whole deployment + grid scan, which dwarfs a
-  // cursor claim; per-trial seeding keeps the slots order-independent.
-  parallel_for_blocked(trials, threads, 1,
-                       [&](std::size_t begin, std::size_t end, std::size_t) {
-                         for (std::size_t t = begin; t < end; ++t) {
-                           const obs::TraceScope scope(
-                               "trial", obs::TraceCategory::kTrial, "index", t);
-                           const std::uint64_t seed = stats::mix64(master_seed, t);
-                           const core::Network net = deploy(cfg, seed);
-                           results[t].deployed = net.size();
-                           results[t].stats =
-                               core::evaluate_region(net, cfg.grid(), cfg.theta);
-                         }
-                       });
+  // Per-trial seeding keeps the slots order-independent.
+  parallel_for(trials, threads, [&](std::size_t t, std::size_t) {
+    const obs::TraceScope scope("trial", obs::TraceCategory::kTrial, "index", t);
+    const core::Network net = deploy(cfg, stats::mix64(master_seed, t));
+    results[t].deployed = net.size();
+    results[t].stats = core::evaluate_region(net, cfg.grid(), cfg.theta);
+  });
   FractionEstimate est;
   for (const PerTrial& r : results) {
     est.covered_1.add(r.stats.fraction_covered_1());

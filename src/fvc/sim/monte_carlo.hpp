@@ -38,8 +38,8 @@ struct GridEventsEstimate {
   EventEstimate sufficient;  ///< P(H_S): grid meets the sufficient condition
 };
 
-/// Cross-cutting options of a Monte-Carlo run (all optional; the defaults
-/// reproduce the bare estimate exactly).
+/// Cross-cutting options of a Monte-Carlo run (all optional; the
+/// defaults run every trial with no hooks and no collection).
 struct RunOptions {
   /// Cooperative cancellation: polled between trials.  A cancelled run
   /// returns a PARTIAL estimate over exactly the trials that completed
@@ -64,17 +64,12 @@ struct RunOptions {
   /// Called after every completed trial with its index and events,
   /// serialized under an internal mutex (the checkpoint hook).
   std::function<void(std::uint64_t index, const TrialEvents& events)> on_trial;
-  /// Trials per scheduler claim (the CLI's --grain).  0 keeps the default
-  /// of 1: trial costs vary wildly (early exits), so fine-grained claiming
-  /// is what balances them, and one atomic claim is noise next to a trial.
-  /// Raise it only when trials are so short the claim cost shows up.
-  std::size_t grain = 0;
 };
 
 /// Run `trials` independent trials of `cfg` on `threads` workers and count
-/// the whole-grid events.  The default (empty) options run the bare
-/// estimator; the estimate is bit-identical for any thread count and any
-/// metrics/progress settings whenever the run is not cancelled.
+/// the whole-grid events.  The estimate is bit-identical for any thread
+/// count and any metrics/progress settings whenever the run is not
+/// cancelled.
 [[nodiscard]] GridEventsEstimate estimate_grid_events(const TrialConfig& cfg,
                                                       std::size_t trials,
                                                       std::uint64_t master_seed,

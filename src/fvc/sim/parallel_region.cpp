@@ -1,7 +1,7 @@
 #include "fvc/sim/parallel_region.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <optional>
 #include <vector>
 
 #include "fvc/core/grid_eval.hpp"
@@ -10,152 +10,56 @@
 
 namespace fvc::sim {
 
-namespace {
-
-/// Scheduling shape of one blocked row scan, resolved once so the block
-/// callback, the slot allocation and the reduction all agree on it.
-struct BlockPlan {
-  std::size_t workers = 0;  ///< clamped worker count (slot key range)
-  std::size_t grain = 0;    ///< resolved rows per block (>= 1)
-  std::size_t blocks = 0;   ///< ceil(rows / grain)
-};
-
-BlockPlan plan_blocks(std::size_t rows, std::size_t threads, std::size_t grain) {
-  BlockPlan plan;
-  if (rows == 0) {
-    return plan;
-  }
-  plan.workers = std::clamp<std::size_t>(threads, 1, rows);
-  plan.grain = grain == 0 ? choose_grain(rows, plan.workers)
-                          : std::min(grain, rows);
-  plan.blocks = (rows + plan.grain - 1) / plan.grain;
-  return plan;
-}
-
-/// Shared core of the metered/unmetered row scans.  Workers claim `grain`
-/// contiguous rows per cursor claim and fuse them through one
-/// `block_stats` engine call, writing one slot per block; the slots are
-/// reduced in block order, which is exactly row order, so the totals are
-/// bit-identical to the serial scan for every thread count and grain.
-/// `counter_slots` is either empty (metrics off) or one `GridEvalCounters`
-/// per worker — the totals are order-independent sums, so merging the
-/// worker slots in worker order is deterministic even though which rows a
-/// worker ran is not.
-core::RegionCoverageStats scan_rows(const core::GridEvalEngine& engine,
-                                    const core::DenseGrid& grid, const BlockPlan& plan,
-                                    std::vector<core::GridEvalCounters>* counter_slots,
-                                    PoolMetrics* pool) {
-  const std::size_t rows = engine.rows();
-  std::vector<core::GridRowStats> block_stats(plan.blocks);
-  parallel_for_blocked(
-      rows, plan.workers, plan.grain,
-      [&](std::size_t begin, std::size_t end, std::size_t worker) {
-        // The scratch also carries the candidate index's row-slice cache,
-        // keyed by (engine generation, row): each row's candidate slice is
-        // built once per worker and reused across the row's points and
-        // across blocks, with no cross-thread sharing.
-        thread_local core::GridEvalScratch scratch;
-        scratch.counters =
-            counter_slots != nullptr ? &(*counter_slots)[worker] : nullptr;
-        block_stats[begin / plan.grain] = engine.block_stats(begin, end, scratch);
-        scratch.counters = nullptr;  // scratch outlives this call (thread_local)
-      },
-      pool);
-  // Reduce in block order.  Each block was folded over its rows in row
-  // order, so this fold replays the serial scan's row-order reduction
-  // exactly (regrouped associatively): bit-identical totals regardless of
-  // which worker ran which block.
-  core::RegionCoverageStats stats;
-  stats.total_points = grid.size();
-  for (std::size_t block = 0; block < plan.blocks; ++block) {
-    const core::GridRowStats& bs = block_stats[block];
-    stats.covered_1 += bs.covered_1;
-    stats.necessary_ok += bs.necessary_ok;
-    stats.full_view_ok += bs.full_view_ok;
-    stats.sufficient_ok += bs.sufficient_ok;
-    stats.k_covered_ok += bs.k_covered_ok;
-    if (block == 0) {
-      stats.min_max_gap = bs.min_max_gap;
-      stats.max_max_gap = bs.max_max_gap;
-    } else {
-      stats.min_max_gap = std::min(stats.min_max_gap, bs.min_max_gap);
-      stats.max_max_gap = std::max(stats.max_max_gap, bs.max_max_gap);
-    }
-  }
-  return stats;
-}
-
-}  // namespace
-
 core::RegionCoverageStats evaluate_region_parallel(const core::Network& net,
                                                    const core::DenseGrid& grid,
                                                    double theta, std::size_t threads,
-                                                   std::size_t grain,
                                                    obs::MetricsNode* metrics) {
   const core::GridEvalEngine engine(net, grid, theta);
-  const BlockPlan plan = plan_blocks(engine.rows(), threads, grain);
-  if (metrics == nullptr) {
-    return scan_rows(engine, grid, plan, nullptr, nullptr);
-  }
-  std::vector<core::GridEvalCounters> counter_slots(plan.workers);
-  PoolMetrics pool;
-  core::RegionCoverageStats stats;
-  {
-    const obs::Span scan_span(metrics->child("scan"));
-    stats = scan_rows(engine, grid, plan, &counter_slots, &pool);
-  }
-  obs::MetricsNode& engine_node = metrics->child("engine");
-  engine.describe(engine_node);
-  core::GridEvalCounters merged;
-  for (const core::GridEvalCounters& c : counter_slots) {
-    merged.merge(c);
-  }
-  merged.describe(engine_node);
-  describe(pool, metrics->child("pool"));
-  return stats;
-}
-
-GridEvents grid_events_parallel(const core::Network& net, const core::DenseGrid& grid,
-                                double theta, std::size_t threads, std::size_t grain) {
-  const core::GridEvalEngine engine(net, grid, theta);
   const std::size_t rows = engine.rows();
-  const BlockPlan plan = plan_blocks(rows, threads, grain);
-  std::vector<core::GridRowEvents> block_events(plan.blocks);
-  // Cooperative early exit: a necessary-condition failure anywhere decides
-  // the whole result, so later rows (checked between the rows of a block
-  // too) may be skipped.  Skipped rows default to all-true and cannot flip
-  // the AND-reduction, which keeps the result independent of scheduling.
-  std::atomic<bool> necessary_failed{false};
-  parallel_for_blocked(rows, plan.workers, plan.grain,
-                       [&](std::size_t begin, std::size_t end, std::size_t) {
-                         thread_local core::GridEvalScratch scratch;
-                         core::GridRowEvents acc;
-                         for (std::size_t row = begin; row < end; ++row) {
-                           if (necessary_failed.load(std::memory_order_relaxed)) {
-                             break;
-                           }
-                           const core::GridRowEvents re =
-                               engine.row_events(row, scratch, true, true);
-                           acc.all_necessary = acc.all_necessary && re.all_necessary;
-                           acc.all_full_view = acc.all_full_view && re.all_full_view;
-                           acc.all_sufficient =
-                               acc.all_sufficient && re.all_sufficient;
-                           if (!re.all_necessary) {
-                             necessary_failed.store(true, std::memory_order_relaxed);
-                             break;
-                           }
-                         }
-                         block_events[begin / plan.grain] = acc;
-                       });
-  GridEvents ev{true, true, true};
-  for (const core::GridRowEvents& be : block_events) {
-    if (!be.all_necessary) {
-      return {false, false, false};
+  // Either empty (metrics off) or one slot per worker id the pool can hand
+  // out — the totals are order-independent sums, so merging the worker
+  // slots in worker order is deterministic even though which rows a worker
+  // ran is not.
+  std::vector<core::GridEvalCounters> counter_slots(
+      metrics != nullptr ? std::clamp<std::size_t>(threads, 1, rows) : 0);
+  std::vector<core::GridRowStats> row_stats(rows);
+  PoolMetrics pool;
+  {
+    std::optional<obs::Span> scan_span;
+    if (metrics != nullptr) {
+      scan_span.emplace(metrics->child("scan"));
     }
-    ev.all_full_view = ev.all_full_view && be.all_full_view;
-    ev.all_sufficient = ev.all_sufficient && be.all_sufficient;
+    parallel_for(
+        rows, threads,
+        [&](std::size_t row, std::size_t worker) {
+          // The scratch also carries the candidate index's row-slice cache,
+          // built once per (engine generation, row) and shared by the row's
+          // points, with no cross-thread sharing.
+          thread_local core::GridEvalScratch scratch;
+          scratch.counters = counter_slots.empty() ? nullptr : &counter_slots[worker];
+          row_stats[row] = engine.row_stats(row, scratch);
+          scratch.counters = nullptr;  // scratch outlives this call (thread_local)
+        },
+        metrics != nullptr ? &pool : nullptr);
   }
-  return ev;
+  // Fold in row order: exactly the serial scan's reduction, whichever
+  // worker ran which row.
+  core::RegionCoverageStats stats;
+  stats.total_points = grid.size();
+  for (std::size_t row = 0; row < rows; ++row) {
+    core::fold_row_stats(stats, row_stats[row], row == 0);
+  }
+  if (metrics != nullptr) {
+    obs::MetricsNode& engine_node = metrics->child("engine");
+    engine.describe(engine_node);
+    core::GridEvalCounters merged;
+    for (const core::GridEvalCounters& c : counter_slots) {
+      merged.merge(c);
+    }
+    merged.describe(engine_node);
+    describe(pool, metrics->child("pool"));
+  }
+  return stats;
 }
 
 }  // namespace fvc::sim

@@ -1,20 +1,17 @@
 /// \file parallel_region.hpp
-/// \brief Block-parallel batched grid evaluation for single deployments.
+/// \brief Row-parallel batched grid evaluation for single deployments.
 ///
 /// The Monte-Carlo estimators parallelize over *trials*, so per-trial grid
 /// scans stay serial.  Single-deployment workloads (the CLI tool, the CSA
 /// figure benches, interactive analysis of one large network) instead want
-/// parallelism *within* one grid scan.  These entry points batch the
-/// `GridEvalEngine` over contiguous row blocks through
-/// `sim::parallel_for_blocked`: workers claim `grain` rows per atomic
-/// cursor claim (grain 0 = `choose_grain(rows, threads)`), evaluate the
-/// block through one engine call (`GridEvalEngine::block_stats` — no
-/// per-row callback indirection), and write one result slot per block.
-/// Block slots are reduced in block order, which is exactly row order —
-/// so the result is bit-identical to the serial scan for every thread
-/// count and grain (the determinism contract of monte_carlo.hpp, extended
-/// to the batched path; locked by tests/sim/test_determinism.cpp and
-/// tests/sim/test_parallel_identity.cpp).
+/// parallelism *within* one grid scan.  This entry point batches the
+/// `GridEvalEngine` over rows through `sim::parallel_for`: workers claim
+/// one row at a time, evaluate it through one engine call
+/// (`GridEvalEngine::row_stats`), and write one result slot per row.  The
+/// row slots are folded in row order — so the result is bit-identical to
+/// the serial scan for every thread count (the determinism contract of
+/// monte_carlo.hpp, extended to the batched path; locked by
+/// tests/sim/test_determinism.cpp and tests/sim/test_parallel_identity.cpp).
 
 #pragma once
 
@@ -30,42 +27,23 @@ class MetricsNode;  // fvc/obs/run_metrics.hpp
 
 namespace fvc::sim {
 
-/// Block-parallel `core::evaluate_region`.  Bit-identical to the serial
-/// (and scalar) evaluation for any `threads` >= 1 and any `grain`
-/// (0 = automatic: `choose_grain(rows, threads)`), whether or not metrics
+/// Row-parallel `core::evaluate_region`.  Bit-identical to the serial
+/// (and scalar) evaluation for any `threads` >= 1, whether or not metrics
 /// are collected.
 ///
 /// `metrics` (default null: no collection, no clock calls) selects the
-/// metered path: identical statistics (same engine, same block merge), plus
+/// metered path: identical statistics (same engine, same row fold), plus
 /// a filled subtree under the node:
 ///   engine  — static shape (bin occupancy, build span) and the merged
 ///             gather counters (candidate histogram, fallbacks)
-///   pool    — worker busy/idle time, block/task counts and the grain of
-///             the row loop
+///   pool    — worker busy/idle time and task (= row) counts of the row
+///             loop
 ///   scan    — span over the whole row scan
 /// Gather counters live in per-worker slots merged in worker order; the
 /// totals are order-independent sums, so the exported values are
-/// deterministic for any thread count and grain.
+/// deterministic for any thread count.
 [[nodiscard]] core::RegionCoverageStats evaluate_region_parallel(
     const core::Network& net, const core::DenseGrid& grid, double theta,
-    std::size_t threads, std::size_t grain = 0,
-    obs::MetricsNode* metrics = nullptr);
-
-/// Whole-grid events of one deployment (the H_N / full-view / H_S bits).
-struct GridEvents {
-  bool all_necessary = false;
-  bool all_full_view = false;
-  bool all_sufficient = false;
-};
-
-/// Block-parallel whole-grid event evaluation with cooperative early exit:
-/// once some row fails the necessary condition the remaining rows are
-/// skipped (the result is already {false, false, false}, matching
-/// `run_trial_events` semantics).  Bit-identical for any thread count and
-/// grain.
-[[nodiscard]] GridEvents grid_events_parallel(const core::Network& net,
-                                              const core::DenseGrid& grid, double theta,
-                                              std::size_t threads,
-                                              std::size_t grain = 0);
+    std::size_t threads, obs::MetricsNode* metrics = nullptr);
 
 }  // namespace fvc::sim

@@ -1,6 +1,10 @@
 #include "fvc/sim/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <thread>
 
 #include "fvc/obs/metrics.hpp"
 #include "fvc/obs/run_metrics.hpp"
@@ -11,9 +15,7 @@ namespace fvc::sim {
 void describe(const PoolMetrics& pool, obs::MetricsNode& node) {
   node.set("workers", static_cast<double>(pool.workers.size()));
   node.set("requested_threads", static_cast<double>(pool.requested_threads));
-  node.set("grain", static_cast<double>(pool.grain));
   node.add("tasks", static_cast<double>(pool.total_tasks()));
-  node.add("blocks", static_cast<double>(pool.total_blocks()));
   node.add("busy_ns", static_cast<double>(pool.total_busy_ns()));
   node.add("idle_ns", static_cast<double>(pool.total_idle_ns()));
   node.add_elapsed_ns(pool.wall_ns);
@@ -29,17 +31,30 @@ std::size_t default_thread_count() {
   return std::clamp<std::size_t>(hc == 0 ? 1 : hc, 1, 64);
 }
 
-std::size_t choose_grain(std::size_t count, std::size_t threads, std::size_t min_grain) {
-  threads = std::max<std::size_t>(threads, 1);
-  const std::size_t even = count / (threads * kGrainOversubscribe);
-  return std::max<std::size_t>({even, min_grain, 1});
+namespace {
+
+/// One index on worker `self`: a `pool.block` trace slice around the
+/// callback, timed into `slot` when the section is metered.
+void run_index(const ParallelFn& fn, std::size_t index, std::size_t self,
+               PoolMetrics::Worker* slot) {
+  const obs::TraceScope block_scope("pool.block", obs::TraceCategory::kPool,
+                                    "index", index);
+  if (slot == nullptr) {
+    fn(index, self);
+    return;
+  }
+  const std::uint64_t t0 = obs::monotonic_ns();
+  fn(index, self);
+  slot->busy_ns += obs::monotonic_ns() - t0;
+  ++slot->tasks;
 }
 
-void parallel_for_blocked(std::size_t count, std::size_t threads, std::size_t grain,
-                          const ParallelBlockFn& fn, PoolMetrics* metrics) {
+}  // namespace
+
+void parallel_for(std::size_t count, std::size_t threads, const ParallelFn& fn,
+                  PoolMetrics* metrics) {
   if (metrics != nullptr) {
     metrics->requested_threads = threads;
-    metrics->grain = 0;
     metrics->workers.clear();
     metrics->wall_ns = 0;
   }
@@ -47,85 +62,52 @@ void parallel_for_blocked(std::size_t count, std::size_t threads, std::size_t gr
     return;
   }
   threads = std::clamp<std::size_t>(threads, 1, count);
-  grain = grain == 0 ? choose_grain(count, threads) : std::min(grain, count);
-  if (metrics != nullptr) {
-    metrics->grain = grain;
-  }
-  // The event payload carries two args; grain is recoverable from any
-  // pool.block slice ("count" = block width), so the section keeps the
-  // historical count/threads pair.
   const obs::TraceScope pool_scope("pool.parallel_for", obs::TraceCategory::kPool,
                                    "count", count, "threads", threads);
   const std::uint64_t wall_start =
       metrics != nullptr ? obs::monotonic_ns() : 0;
-  if (threads == 1) {
-    PoolMetrics::Worker w;
-    for (std::size_t begin = 0; begin < count; begin += grain) {
-      const std::size_t end = std::min(begin + grain, count);
-      const obs::TraceScope block_scope("pool.block", obs::TraceCategory::kPool,
-                                        "begin", begin, "count", end - begin);
-      if (metrics == nullptr) {
-        fn(begin, end, 0);
-      } else {
-        const std::uint64_t t0 = obs::monotonic_ns();
-        fn(begin, end, 0);
-        w.busy_ns += obs::monotonic_ns() - t0;
-        w.tasks += end - begin;
-        ++w.blocks;
-      }
-    }
-    if (metrics != nullptr) {
-      metrics->workers.push_back(w);
-      metrics->wall_ns = obs::monotonic_ns() - wall_start;
-    }
-    return;
-  }
-  std::atomic<std::size_t> cursor{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
   std::vector<PoolMetrics::Worker> worker_slots(metrics != nullptr ? threads : 0);
-  auto worker = [&](std::size_t self) {
-    const obs::TraceScope worker_scope("pool.worker", obs::TraceCategory::kPool,
-                                       "worker", self);
-    PoolMetrics::Worker* const slot =
-        metrics != nullptr ? &worker_slots[self] : nullptr;
-    while (true) {
-      const std::size_t begin = cursor.fetch_add(grain, std::memory_order_relaxed);
-      if (begin >= count) {
-        obs::trace_instant("pool.queue_empty", obs::TraceCategory::kPool,
-                           "worker", self);
-        return;
-      }
-      const std::size_t end = std::min(begin + grain, count);
-      try {
-        const obs::TraceScope block_scope("pool.block", obs::TraceCategory::kPool,
-                                          "begin", begin, "count", end - begin);
-        if (slot != nullptr) {
-          const std::uint64_t t0 = obs::monotonic_ns();
-          fn(begin, end, self);
-          slot->busy_ns += obs::monotonic_ns() - t0;
-          slot->tasks += end - begin;
-          ++slot->blocks;
-        } else {
-          fn(begin, end, self);
-        }
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) {
-          first_error = std::current_exception();
-        }
-        cursor.store(count, std::memory_order_relaxed);  // drain remaining work
-        return;
-      }
+  std::exception_ptr first_error;
+  if (threads == 1) {
+    PoolMetrics::Worker* const slot = metrics != nullptr ? &worker_slots[0] : nullptr;
+    for (std::size_t i = 0; i < count; ++i) {
+      run_index(fn, i, 0, slot);
     }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) {
-    pool.emplace_back(worker, t);
-  }
-  for (std::thread& t : pool) {
-    t.join();
+  } else {
+    std::atomic<std::size_t> cursor{0};
+    std::mutex error_mutex;
+    auto worker = [&](std::size_t self) {
+      const obs::TraceScope worker_scope("pool.worker", obs::TraceCategory::kPool,
+                                         "worker", self);
+      PoolMetrics::Worker* const slot =
+          metrics != nullptr ? &worker_slots[self] : nullptr;
+      while (true) {
+        const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (i >= count) {
+          obs::trace_instant("pool.queue_empty", obs::TraceCategory::kPool,
+                             "worker", self);
+          return;
+        }
+        try {
+          run_index(fn, i, self, slot);
+        } catch (...) {
+          const std::lock_guard<std::mutex> lock(error_mutex);
+          if (!first_error) {
+            first_error = std::current_exception();
+          }
+          cursor.store(count, std::memory_order_relaxed);  // drain remaining work
+          return;
+        }
+      }
+    };
+    std::vector<std::thread> pool;
+    pool.reserve(threads);
+    for (std::size_t t = 0; t < threads; ++t) {
+      pool.emplace_back(worker, t);
+    }
+    for (std::thread& t : pool) {
+      t.join();
+    }
   }
   if (metrics != nullptr) {
     metrics->workers = std::move(worker_slots);

@@ -7,7 +7,7 @@
 // bit-identical to the per-point scalar oracle (`Network::viewed_directions`,
 // `full_view_covered`, `meets_*_condition`, `evaluate_region_scalar`),
 // across deployment families (uniform, Matern, Gaussian cluster, strip
-// hotspot), space modes, kernels, thread counts and grains — including
+// hotspot), space modes, kernels and thread counts — including
 // points on cell edges, on the torus seam and on the plane's edges.
 // Double comparisons go through std::bit_cast<uint64_t> so even a
 // sign-of-zero divergence would fail.
@@ -287,26 +287,23 @@ TEST(CandidateIndex, BitIdenticalAcrossFamiliesIndexesAndKernels) {
   }
 }
 
-// The parallel scan reuses one engine (and its row-slice scratch) across
-// blocks; every (threads, grain) combination must still fold to the
-// scalar oracle's result bitwise.  Threads 3 with grain 1 maximises slice
-// rebuilds (rows interleave across workers); grain 0 exercises
-// choose_grain's big blocks.
+// The parallel scan reuses one engine (and each worker's row-slice
+// scratch) across rows; every thread count must still fold to the scalar
+// oracle's result bitwise.  Rows interleave across workers, so every
+// multi-thread run rebuilds slices on workers that last saw another row.
 TEST(CandidateIndex, ParallelScansBitIdenticalAcrossThreadsAndGrains) {
+  constexpr std::size_t kThreadCounts[] = {1, 2, 3, 4, 7};
   const DenseGrid grid(16);
   const double theta = kPi / 3.0;
   for (const Family fam : {Family::kUniform, Family::kGaussian, Family::kStrip}) {
     const Network net = deploy_family(fam, 3);
     const RegionCoverageStats ref = evaluate_region_scalar(net, grid, theta);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-      for (const std::size_t grain : {std::size_t{1}, std::size_t{0}}) {
-        const RegionCoverageStats got =
-            sim::evaluate_region_parallel(net, grid, theta, threads, grain);
-        expect_stats_identical(
-            ref, got,
-            std::string("family=") + family_name(fam) + " threads=" +
-                std::to_string(threads) + " grain=" + std::to_string(grain));
-      }
+    for (const std::size_t threads : kThreadCounts) {
+      const RegionCoverageStats got =
+          sim::evaluate_region_parallel(net, grid, theta, threads);
+      expect_stats_identical(ref, got,
+                             std::string("family=") + family_name(fam) +
+                                 " threads=" + std::to_string(threads));
     }
   }
 }

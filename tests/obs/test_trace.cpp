@@ -194,13 +194,9 @@ TEST(TraceSession, ConcurrentWritersFromThreadPoolWorkers) {
   TraceSession session(1 << 12);
   session.install();
   constexpr std::size_t kTasks = 64;
-  sim::parallel_for_blocked(kTasks, 4, 1,
-                            [&](std::size_t begin, std::size_t end, std::size_t) {
-                              for (std::size_t i = begin; i < end; ++i) {
-                                trace_instant("task.mark", TraceCategory::kPool,
-                                              "index", i);
-                              }
-                            });
+  sim::parallel_for(kTasks, 4, [&](std::size_t i, std::size_t) {
+    trace_instant("task.mark", TraceCategory::kPool, "index", i);
+  });
   const TraceSession::Drained d = session.drain();
   session.uninstall();
   EXPECT_EQ(d.evicted, 0u);

@@ -1,6 +1,6 @@
-// Bit-identity stress suite for the blocked parallel grid scan: random
+// Bit-identity stress suite for the row-parallel grid scan: random
 // deployments on random grid sizes, evaluated serially and through
-// `evaluate_region_parallel` across a matrix of thread counts and grains.
+// `evaluate_region_parallel` across thread counts, metered and unmetered.
 // The contract is BITWISE equality — the double reductions are compared by
 // bit pattern (std::bit_cast), not tolerance, so a scheduling change that
 // reorders the min/max fold in a way that flips even one mantissa bit
@@ -26,7 +26,6 @@ namespace fvc::sim {
 namespace {
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 3, 4, 7};
-constexpr std::size_t kGrains[] = {1, 3, 0};  // 0 = choose_grain default
 
 void expect_bitwise_equal(const core::RegionCoverageStats& serial,
                           const core::RegionCoverageStats& parallel) {
@@ -66,47 +65,8 @@ TEST(ParallelIdentity, RandomDeploymentsAcrossThreadsAndGrains) {
     const core::DenseGrid grid(side);
     const core::RegionCoverageStats serial = core::evaluate_region(net, grid, theta);
     for (const std::size_t threads : kThreadCounts) {
-      for (const std::size_t grain : kGrains) {
-        SCOPED_TRACE("threads=" + std::to_string(threads) + " grain=" +
-                     std::to_string(grain));
-        expect_bitwise_equal(
-            serial, evaluate_region_parallel(net, grid, theta, threads, grain));
-      }
-    }
-  }
-}
-
-TEST(ParallelIdentity, GrainLargerThanRows) {
-  stats::Pcg32 rng(0x9a51);
-  const core::Network net = random_network(rng, 120);
-  const core::DenseGrid grid(9);
-  const double theta = geom::kHalfPi / 2.0;
-  const core::RegionCoverageStats serial = core::evaluate_region(net, grid, theta);
-  expect_bitwise_equal(serial, evaluate_region_parallel(net, grid, theta, 4, 64));
-  expect_bitwise_equal(serial, evaluate_region_parallel(net, grid, theta, 7, 9));
-}
-
-TEST(ParallelIdentity, GridEventsMatchSerialRowFold) {
-  // grid_events_parallel must agree with its own threads=1 evaluation for
-  // every (threads, grain) — the early exit may skip different rows but
-  // can never flip the AND-reduction.
-  stats::Pcg32 rng(0x6e3a11);
-  for (int it = 0; it < 4; ++it) {
-    const std::size_t n = 40 + rng() % 160;
-    const std::size_t side = 2 + rng() % 20;
-    const double theta = 0.3 + 0.6 * geom::kHalfPi * (rng() / 4294967296.0);
-    SCOPED_TRACE("it=" + std::to_string(it) + " n=" + std::to_string(n) +
-                 " side=" + std::to_string(side));
-    const core::Network net = random_network(rng, n);
-    const core::DenseGrid grid(side);
-    const GridEvents base = grid_events_parallel(net, grid, theta, 1, 1);
-    for (const std::size_t threads : kThreadCounts) {
-      for (const std::size_t grain : kGrains) {
-        const GridEvents ev = grid_events_parallel(net, grid, theta, threads, grain);
-        EXPECT_EQ(ev.all_necessary, base.all_necessary);
-        EXPECT_EQ(ev.all_full_view, base.all_full_view);
-        EXPECT_EQ(ev.all_sufficient, base.all_sufficient);
-      }
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      expect_bitwise_equal(serial, evaluate_region_parallel(net, grid, theta, threads));
     }
   }
 }
@@ -117,11 +77,12 @@ TEST(ParallelIdentity, MeteredScanIsBitIdenticalToo) {
   const core::DenseGrid grid(17);
   const double theta = geom::kHalfPi / 2.0;
   const core::RegionCoverageStats serial = core::evaluate_region(net, grid, theta);
-  for (const std::size_t grain : kGrains) {
+  for (const std::size_t threads : kThreadCounts) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
     obs::MetricsNode node("region");
-    expect_bitwise_equal(
-        serial, evaluate_region_parallel(net, grid, theta, 3, grain, &node));
-    // The metered pool subtree reflects the blocked schedule.
+    expect_bitwise_equal(serial,
+                         evaluate_region_parallel(net, grid, theta, threads, &node));
+    // The metered pool subtree counts one task per row.
     EXPECT_EQ(node.child("pool").counter("tasks"), 17.0);
   }
 }

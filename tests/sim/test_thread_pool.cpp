@@ -13,20 +13,13 @@
 namespace fvc::sim {
 namespace {
 
-// Grain-1 per-index driver: every block is exactly one index, so these
-// tests pin the scheduler's per-index semantics (visit-once, sequential
-// order at one thread, exception drain) at the finest block size.
+// Worker-agnostic driver: these tests pin the scheduler's per-index
+// semantics (visit-once, sequential order at one thread, exception drain).
 void for_each_index(std::size_t count, std::size_t threads,
                     const std::function<void(std::size_t)>& fn,
                     PoolMetrics* metrics = nullptr) {
-  parallel_for_blocked(
-      count, threads, 1,
-      [&fn](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t i = begin; i < end; ++i) {
-          fn(i);
-        }
-      },
-      metrics);
+  parallel_for(
+      count, threads, [&fn](std::size_t i, std::size_t) { fn(i); }, metrics);
 }
 
 TEST(DefaultThreadCount, Positive) {

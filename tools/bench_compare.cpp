@@ -183,8 +183,8 @@ int main(int argc, char** argv) {
   core::RegionCoverageStats metered_stats;
   {
     obs::Span span(metrics.root());
-    metered_stats = sim::evaluate_region_parallel(net, grid, theta, threads, 0,
-                                                  &metrics.root());
+    metered_stats =
+        sim::evaluate_region_parallel(net, grid, theta, threads, &metrics.root());
   }
   if (!same_stats(scalar_stats, metered_stats)) {
     std::fprintf(stderr,

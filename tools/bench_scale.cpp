@@ -1,9 +1,8 @@
-/// bench_scale — thread/grain scaling harness for the blocked parallel
-/// grid scan.
+/// bench_scale — thread scaling harness for the row-parallel grid scan.
 ///
-/// Sweeps a (grid side, population) ladder through the block-parallel
-/// entry point `sim::evaluate_region_parallel` over a threads x grain x
-/// kernel matrix, timing each cell against the serial batched engine
+/// Sweeps a (grid side, population) ladder through the row-parallel
+/// entry point `sim::evaluate_region_parallel` over a threads x kernel
+/// matrix, timing each cell against the serial batched engine
 /// (`core::evaluate_region`) under the same kernel pin.
 /// Every cell's statistics must be bit-identical to the serial scan — a
 /// mismatch is a nonzero exit, not a footnote.  Worker utilization per
@@ -21,17 +20,16 @@
 /// isolates *scheduling and index* behaviour, not density effects.
 ///
 /// Usage:
-///   bench_scale [out.json] [sides] [ns] [threads] [grains] [reps] [kernels]
+///   bench_scale [out.json] [sides] [ns] [threads] [reps] [kernels]
 ///     out.json  output path                    default BENCH_scale.json
 ///     sides     comma list of grid sides       default 512,1024,2048
 ///     ns        comma list of populations,     default 10000,100000,1000000
 ///               zipped with `sides` (the shorter list's last entry repeats)
 ///     threads   comma list of thread counts    default 1,2,4
-///     grains    comma list of grains (0=auto)  default 1,0
 ///     reps      best-of repetitions per cell   default 3
 ///     kernels   comma list of kernel variants  default auto (resolved)
 ///
-/// The JSON record (schema fvc.bench_scale/3) embeds hardware_concurrency
+/// The JSON record (schema fvc.bench_scale/4) embeds hardware_concurrency
 /// and a `degenerate_host` flag (<= 1 core): speedups are only meaningful
 /// relative to the cores the run actually had.  When the output path
 /// already holds a record produced on MORE cores than this host offers,
@@ -136,8 +134,6 @@ std::optional<unsigned> recorded_concurrency(const std::string& path) {
 
 struct Cell {
   std::size_t threads = 0;
-  std::size_t grain = 0;       // requested (0 = auto)
-  std::size_t grain_used = 0;  // what the scheduler ran with
   double ms = 0.0;
   double speedup = 0.0;
   double utilization = 0.0;
@@ -171,11 +167,9 @@ int main(int argc, char** argv) {
       parse_size_list(argc > 3 ? argv[3] : "10000,100000,1000000", "ns");
   const std::vector<std::size_t> thread_list =
       parse_size_list(argc > 4 ? argv[4] : "1,2,4", "threads");
-  const std::vector<std::size_t> grain_list =
-      parse_size_list(argc > 5 ? argv[5] : "1,0", "grains");
   const std::size_t reps =
-      std::max<std::size_t>(1, argc > 6 ? static_cast<std::size_t>(std::atoll(argv[6])) : 3);
-  const std::string kernels_arg = argc > 7 ? argv[7] : "auto";
+      std::max<std::size_t>(1, argc > 5 ? static_cast<std::size_t>(std::atoll(argv[5])) : 3);
+  const std::string kernels_arg = argc > 6 ? argv[6] : "auto";
   const double theta = geom::kPi / 4.0;
 
   const unsigned cores = std::thread::hardware_concurrency();
@@ -287,43 +281,37 @@ int main(int argc, char** argv) {
       std::printf("    kernel=%-7s serial %9.3f ms\n", krec.name.c_str(), krec.serial_ms);
 
       for (const std::size_t threads : thread_list) {
-        for (const std::size_t grain : grain_list) {
-          Cell cell;
-          cell.threads = threads;
-          cell.grain = grain;
-          core::RegionCoverageStats par_stats;
-          cell.ms = best_of_ms(reps, [&] {
-            par_stats = sim::evaluate_region_parallel(net, grid, theta, threads, grain);
-          });
-          if (!same_stats(serial_stats, par_stats)) {
-            std::fprintf(stderr,
-                         "bench_scale: FAIL — threads=%zu grain=%zu kernel=%s "
-                         "differs from the serial scan\n",
-                         threads, grain, krec.name.c_str());
-            all_identical = false;
-          }
-          // Metered pass, outside the timed reps: utilization + the grain
-          // the scheduler actually used; must still be bit-identical.
-          obs::MetricsNode node("scan");
-          const core::RegionCoverageStats metered_stats =
-              sim::evaluate_region_parallel(net, grid, theta, threads, grain, &node);
-          if (!same_stats(serial_stats, metered_stats)) {
-            std::fprintf(stderr,
-                         "bench_scale: FAIL — metered threads=%zu grain=%zu "
-                         "kernel=%s differs from the serial scan\n",
-                         threads, grain, krec.name.c_str());
-            all_identical = false;
-          }
-          const obs::MetricsNode* pool = node.find_child("pool");
-          cell.utilization = pool != nullptr ? pool->counter("utilization") : 0.0;
-          cell.grain_used =
-              pool != nullptr ? static_cast<std::size_t>(pool->counter("grain")) : 0;
-          cell.speedup = cell.ms > 0.0 ? krec.serial_ms / cell.ms : 0.0;
-          std::printf("      threads=%zu grain=%zu(->%zu): %9.3f ms  (%.2fx, util %.2f)\n",
-                      threads, grain, cell.grain_used, cell.ms, cell.speedup,
-                      cell.utilization);
-          krec.cells.push_back(cell);
+        Cell cell;
+        cell.threads = threads;
+        core::RegionCoverageStats par_stats;
+        cell.ms = best_of_ms(reps, [&] {
+          par_stats = sim::evaluate_region_parallel(net, grid, theta, threads);
+        });
+        if (!same_stats(serial_stats, par_stats)) {
+          std::fprintf(stderr,
+                       "bench_scale: FAIL — threads=%zu kernel=%s differs from the "
+                       "serial scan\n",
+                       threads, krec.name.c_str());
+          all_identical = false;
         }
+        // Metered pass, outside the timed reps: utilization; must still be
+        // bit-identical.
+        obs::MetricsNode node("scan");
+        const core::RegionCoverageStats metered_stats =
+            sim::evaluate_region_parallel(net, grid, theta, threads, &node);
+        if (!same_stats(serial_stats, metered_stats)) {
+          std::fprintf(stderr,
+                       "bench_scale: FAIL — metered threads=%zu kernel=%s differs "
+                       "from the serial scan\n",
+                       threads, krec.name.c_str());
+          all_identical = false;
+        }
+        const obs::MetricsNode* pool = node.find_child("pool");
+        cell.utilization = pool != nullptr ? pool->counter("utilization") : 0.0;
+        cell.speedup = cell.ms > 0.0 ? krec.serial_ms / cell.ms : 0.0;
+        std::printf("      threads=%zu: %9.3f ms  (%.2fx, util %.2f)\n", threads,
+                    cell.ms, cell.speedup, cell.utilization);
+        krec.cells.push_back(cell);
       }
       rec.kernels.push_back(std::move(krec));
     }
@@ -335,8 +323,8 @@ int main(int argc, char** argv) {
   char buf[512];
   record << "{\n";
   std::snprintf(buf, sizeof(buf),
-                "  \"schema\": \"fvc.bench_scale/3\",\n"
-                "  \"bench\": \"blocked_parallel_grid_scan\",\n"
+                "  \"schema\": \"fvc.bench_scale/4\",\n"
+                "  \"bench\": \"row_parallel_grid_scan\",\n"
                 "  \"theta\": \"pi/4\",\n"
                 "  \"reps\": %zu,\n"
                 "  \"hardware_concurrency\": %u,\n"
@@ -374,11 +362,10 @@ int main(int argc, char** argv) {
       for (std::size_t i = 0; i < krec.cells.size(); ++i) {
         const Cell& cell = krec.cells[i];
         std::snprintf(buf, sizeof(buf),
-                      "          {\"threads\": %zu, \"grain\": %zu, "
-                      "\"grain_used\": %zu, \"ms\": %.3f, \"speedup\": %.2f, "
+                      "          {\"threads\": %zu, \"ms\": %.3f, \"speedup\": %.2f, "
                       "\"utilization\": %.3f}%s\n",
-                      cell.threads, cell.grain, cell.grain_used, cell.ms, cell.speedup,
-                      cell.utilization, i + 1 < krec.cells.size() ? "," : "");
+                      cell.threads, cell.ms, cell.speedup, cell.utilization,
+                      i + 1 < krec.cells.size() ? "," : "");
         record << buf;
       }
       record << "        ]}" << (k + 1 < rec.kernels.size() ? "," : "") << "\n";
