@@ -190,9 +190,6 @@ const std::vector<FlagSpec>& global_flags() {
   static const std::vector<FlagSpec> flags = {
       {"metrics", "FILE", "",
        "write a fvc.metrics/1 JSON report of the run to FILE"},
-      {"kernel", "NAME", "",
-       "pin the grid-eval kernel variant (scalar|generic|avx2|neon); "
-       "results are bit-identical, only speed changes"},
       {"trace", "FILE", "",
        "write a fvc.trace/1 Chrome-trace JSON timeline of the run to FILE "
        "(open in Perfetto or chrome://tracing)"},

@@ -1,10 +1,6 @@
 #include "fvc/core/cpu_features.hpp"
 
 #include <array>
-#include <atomic>
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
 
 namespace fvc::core {
 
@@ -12,12 +8,6 @@ namespace {
 
 constexpr std::array<std::string_view, kKernelVariantCount> kNames = {
     "scalar", "generic", "avx2", "neon"};
-
-std::atomic<std::uint64_t> g_dispatch_counts[kKernelVariantCount];
-
-/// The programmatic pin.  Encoded as variant index + 1 (0 = not pinned)
-/// so the whole state fits one lock-free atomic.
-std::atomic<int> g_forced{0};
 
 bool cpu_has_avx2() {
 #if defined(__x86_64__) || defined(_M_X64)
@@ -43,15 +33,6 @@ bool cpu_has_neon() {
 
 std::string_view kernel_name(KernelVariant v) {
   return kNames.at(static_cast<std::size_t>(v));
-}
-
-std::optional<KernelVariant> kernel_from_name(std::string_view name) {
-  for (std::size_t i = 0; i < kKernelVariantCount; ++i) {
-    if (kNames[i] == name) {
-      return static_cast<KernelVariant>(i);
-    }
-  }
-  return std::nullopt;
 }
 
 std::size_t kernel_lanes(KernelVariant v) {
@@ -103,64 +84,6 @@ KernelVariant preferred_kernel() {
     return KernelVariant::kNeon;
   }
   return KernelVariant::kGeneric;
-}
-
-void set_forced_kernel(std::optional<KernelVariant> v) {
-  g_forced.store(v.has_value() ? static_cast<int>(*v) + 1 : 0,
-                 std::memory_order_relaxed);
-}
-
-std::optional<KernelVariant> forced_kernel() {
-  const int raw = g_forced.load(std::memory_order_relaxed);
-  if (raw == 0) {
-    return std::nullopt;
-  }
-  return static_cast<KernelVariant>(raw - 1);
-}
-
-KernelVariant resolve_kernel() {
-  auto validate = [](KernelVariant v, const char* source) {
-    if (!kernel_compiled(v)) {
-      throw std::runtime_error(std::string(source) + ": kernel '" +
-                               std::string(kernel_name(v)) +
-                               "' is not compiled into this build");
-    }
-    if (!kernel_supported(v)) {
-      throw std::runtime_error(std::string(source) + ": kernel '" +
-                               std::string(kernel_name(v)) +
-                               "' is not executable on this CPU");
-    }
-    return v;
-  };
-  if (const std::optional<KernelVariant> pinned = forced_kernel()) {
-    return validate(*pinned, "forced kernel");
-  }
-  // Re-read the environment on every resolve (engine constructions are
-  // rare next to the work an engine does) so harnesses can change it
-  // without restarting the process.  Set-but-empty means unset: CI matrix
-  // legs and shell harnesses export FVC_FORCE_KERNEL="" for the
-  // auto-dispatch configuration.
-  if (const char* env = std::getenv("FVC_FORCE_KERNEL");
-      env != nullptr && env[0] != '\0') {
-    const std::optional<KernelVariant> v = kernel_from_name(env);
-    if (!v.has_value()) {
-      throw std::runtime_error(
-          std::string("FVC_FORCE_KERNEL: unknown kernel '") + env +
-          "' (expected scalar|generic|avx2|neon)");
-    }
-    return validate(*v, "FVC_FORCE_KERNEL");
-  }
-  return preferred_kernel();
-}
-
-void note_kernel_dispatch(KernelVariant v) {
-  g_dispatch_counts[static_cast<std::size_t>(v)].fetch_add(
-      1, std::memory_order_relaxed);
-}
-
-std::uint64_t kernel_dispatch_count(KernelVariant v) {
-  return g_dispatch_counts[static_cast<std::size_t>(v)].load(
-      std::memory_order_relaxed);
 }
 
 }  // namespace fvc::core

@@ -19,24 +19,15 @@
 /// Every variant is bit-identical by construction: lane arithmetic is the
 /// same IEEE mul/add/compare sequence as the scalar oracle (see
 /// docs/ARCHITECTURE.md).  Dispatch therefore only affects speed, never
-/// results, and is resolved once per engine construction:
-///
-///   1. a programmatic pin (`set_forced_kernel`, used by the CLI's
-///      `--kernel` flag and the differential tests), else
-///   2. the `FVC_FORCE_KERNEL` environment variable (re-read on every
-///      resolve so tests and harnesses can change it; a set-but-empty
-///      value counts as unset), else
-///   3. the best variant the running CPU supports.
-///
-/// Pinning a variant the build does not contain or the CPU cannot execute
-/// is an error (std::runtime_error), not a silent fallback — CI legs that
-/// force a variant must fail loudly when the runner cannot execute it.
+/// results, and is a pure function of the build and the CPU: an engine
+/// runs the widest supported variant (`preferred_kernel`).  `scalar` is
+/// the test reference and dispatch never chooses it; tests reach it, and
+/// every other variant, by passing the variant to the engine constructor.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string_view>
 
 namespace fvc::core {
@@ -53,9 +44,6 @@ inline constexpr std::size_t kKernelVariantCount = 4;
 /// Stable lower-case name ("scalar", "generic", "avx2", "neon").
 [[nodiscard]] std::string_view kernel_name(KernelVariant v);
 
-/// Inverse of kernel_name; nullopt for unknown names.
-[[nodiscard]] std::optional<KernelVariant> kernel_from_name(std::string_view name);
-
 /// Double lanes the variant processes per step (1 for scalar, else 4).
 [[nodiscard]] std::size_t kernel_lanes(KernelVariant v);
 
@@ -65,24 +53,7 @@ inline constexpr std::size_t kKernelVariantCount = 4;
 /// True when the variant is compiled AND the running CPU can execute it.
 [[nodiscard]] bool kernel_supported(KernelVariant v);
 
-/// The widest supported variant (the auto-dispatch choice).
+/// The widest supported variant: what every engine runs by default.
 [[nodiscard]] KernelVariant preferred_kernel();
-
-/// Programmatic pin: overrides both the environment and auto-dispatch
-/// until reset with nullopt.  Takes effect at the next engine
-/// construction; validity is checked by resolve_kernel, not here.
-void set_forced_kernel(std::optional<KernelVariant> v);
-[[nodiscard]] std::optional<KernelVariant> forced_kernel();
-
-/// The variant the next engine will use: programmatic pin, else
-/// FVC_FORCE_KERNEL, else preferred_kernel().  Throws std::runtime_error
-/// when a pinned variant is unknown, not compiled in, or not executable
-/// on this CPU.
-[[nodiscard]] KernelVariant resolve_kernel();
-
-/// Process-wide dispatch counters: engines constructed per variant.
-/// Exported under the engine metrics node by describe_kernel_dispatch.
-void note_kernel_dispatch(KernelVariant v);
-[[nodiscard]] std::uint64_t kernel_dispatch_count(KernelVariant v);
 
 }  // namespace fvc::core

@@ -38,9 +38,9 @@ std::uint64_t next_generation() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-/// Vectorized classify entry point for a dispatched variant; nullptr for
-/// the scalar variant (and, defensively, for variants this build lacks —
-/// resolve_kernel already rejects those).
+/// Vectorized classify entry point for a variant; nullptr for the scalar
+/// variant (and, defensively, for variants this build lacks — the engine
+/// constructor already rejects those).
 detail::ClassifyFn classify_for(KernelVariant v) {
   switch (v) {
     case KernelVariant::kGeneric:
@@ -58,9 +58,9 @@ detail::ClassifyFn classify_for(KernelVariant v) {
   }
 }
 
-/// Approximate-direction kernel for a dispatched variant, so one pin
-/// selects both kernels.  The scalar variant runs the portable (generic)
-/// instantiation: plain per-lane double arithmetic at the baseline ISA.
+/// Approximate-direction kernel for a variant, so one variant selects both
+/// kernels.  The scalar variant runs the portable (generic) instantiation:
+/// plain per-lane double arithmetic at the baseline ISA.
 detail::DirectionsFn directions_for(KernelVariant v) {
   switch (v) {
 #if defined(FVC_KERNEL_AVX2)
@@ -365,15 +365,19 @@ void GridEvalCounters::describe(obs::MetricsNode& node) const {
   node.histogram("candidates_per_point").merge(candidates_per_point);
 }
 
-GridEvalEngine::GridEvalEngine(const Network& net, const DenseGrid& grid, double theta)
-    : net_(&net), grid_(grid), theta_(theta) {
+GridEvalEngine::GridEvalEngine(const Network& net, const DenseGrid& grid, double theta,
+                               KernelVariant kernel)
+    : net_(&net), grid_(grid), theta_(theta), kernel_(kernel) {
   validate_theta(theta);
+  if (!kernel_supported(kernel)) {
+    throw std::invalid_argument("GridEvalEngine: kernel '" +
+                                std::string(kernel_name(kernel)) +
+                                "' is not supported by this build and CPU");
+  }
   implied_k_ = implied_k(theta);
   mode_ = net.mode();
-  kernel_ = resolve_kernel();
   classify_ = classify_for(kernel_);
   directions_ = directions_for(kernel_);
-  note_kernel_dispatch(kernel_);
   generation_ = next_generation();
   necessary_ = detail::SectorIndex(2.0 * theta);
   sufficient_ = detail::SectorIndex(theta);
@@ -457,12 +461,6 @@ void GridEvalEngine::describe(obs::MetricsNode& node) const {
 void describe_kernel_dispatch(KernelVariant active, obs::MetricsNode& node) {
   node.set("kernel_lanes", static_cast<double>(kernel_lanes(active)));
   node.set(std::string("kernel_") += kernel_name(active), 1.0);
-  obs::MetricsNode& disp = node.child("kernel_dispatch");
-  for (std::size_t i = 0; i < kKernelVariantCount; ++i) {
-    const auto v = static_cast<KernelVariant>(i);
-    disp.set(std::string("engines_") += kernel_name(v),
-             static_cast<double>(kernel_dispatch_count(v)));
-  }
 }
 
 void GridEvalEngine::compute_cells() {

@@ -32,15 +32,16 @@
 ///   3. *Lane-parallel classify and emission* — candidate records are
 ///      stored as structure-of-arrays spans and classified 4 lanes at a
 ///      time by an explicitly vectorized kernel (grid_eval_kernel.hpp)
-///      selected by runtime CPU dispatch (cpu_features.hpp: scalar /
-///      generic / avx2 / neon, pinnable via FVC_FORCE_KERNEL or the CLI's
-///      --kernel), which also selects the 4-wide approximate-direction
-///      kernel.  Classify lanes replicate the scalar IEEE operation
-///      sequence exactly (including the per-point torus unwrap, which is
-///      `geom::wrap_delta` lane-for-lane); the remainder tail and
-///      exact-arithmetic band hits reuse the scalar per-entry path — so
-///      every variant gathers the same covered set, and every answer is
-///      bit-identical (enforced by tests/core/test_grid_eval_kernels).
+///      selected by runtime CPU dispatch (cpu_features.hpp: the widest of
+///      generic / avx2 / neon the CPU supports; tests pass any variant,
+///      scalar included, to the constructor), which also selects the
+///      4-wide approximate-direction kernel.  Classify lanes replicate the
+///      scalar IEEE operation sequence exactly (including the per-point
+///      torus unwrap, which is `geom::wrap_delta` lane-for-lane); the
+///      remainder tail and exact-arithmetic band hits reuse the scalar
+///      per-entry path — so every variant gathers the same covered set,
+///      and every answer is bit-identical (enforced by
+///      tests/core/test_grid_eval_kernels).
 ///   4. *Row batching* — rows are independent work units, so callers can
 ///      evaluate them serially (`evaluate`), or hand one row per claim to
 ///      `sim::parallel_for` via `row_stats` and fold the per-row results
@@ -246,8 +247,12 @@ struct GridRowEvents {
 class GridEvalEngine {
  public:
   /// Precompute sector partitions and build the candidate index.
-  /// \pre theta in (0, pi] (throws std::invalid_argument otherwise)
-  GridEvalEngine(const Network& net, const DenseGrid& grid, double theta);
+  /// `kernel` defaults to the CPU's widest variant; every variant gives
+  /// bit-identical answers, so the argument only matters to tests.
+  /// \pre theta in (0, pi] and kernel_supported(kernel) (throws
+  ///      std::invalid_argument otherwise)
+  GridEvalEngine(const Network& net, const DenseGrid& grid, double theta,
+                 KernelVariant kernel = preferred_kernel());
 
   [[nodiscard]] std::size_t rows() const { return grid_.side(); }
   [[nodiscard]] std::size_t cols() const { return grid_.side(); }
@@ -363,12 +368,12 @@ class GridEvalEngine {
   [[nodiscard]] BinOccupancy occupancy() const;
 
   /// Export the engine's static shape (bin occupancy, build time, camera
-  /// count, active kernel and dispatch counters) into a metrics node;
+  /// count, active kernel) into a metrics node;
   /// dynamic counters come from the scratch's `GridEvalCounters` and are
   /// merged in by the caller.
   void describe(obs::MetricsNode& node) const;
 
-  /// The kernel variant runtime dispatch selected for this engine.
+  /// The kernel variant this engine runs.
   [[nodiscard]] KernelVariant kernel() const { return kernel_; }
 
  private:
@@ -551,10 +556,9 @@ class GridEvalEngine {
   bool whole_axis_ = false;   ///< degenerate: a window spans the whole axis
 };
 
-/// Export the active kernel choice (name, lane width) and the process-wide
-/// dispatch counters into `node` — the observability face of
-/// cpu_features.hpp, shared by GridEvalEngine::describe and the sim
-/// layer's trial metering.
+/// Export the active kernel choice (name, lane width) into `node` — the
+/// observability face of cpu_features.hpp, shared by
+/// GridEvalEngine::describe and the sim layer's grid-event metering.
 void describe_kernel_dispatch(KernelVariant active, obs::MetricsNode& node);
 
 }  // namespace fvc::core

@@ -2,8 +2,8 @@
 /// over plain per-lane double arithmetic, compiled at the baseline ISA (the
 /// compiler may auto-vectorize the lane loops with whatever the baseline
 /// allows).  Always compiled; the runtime fallback on hosts without
-/// AVX2/NEON, the direction kernel of the scalar variant, and the
-/// FVC_FORCE_KERNEL=generic target of the differential tests.
+/// AVX2/NEON, the direction kernel of the scalar variant, and a variant
+/// the differential tests construct explicitly on every host.
 
 #include "fvc/core/grid_eval_kernel.hpp"
 #include "fvc/core/simd.hpp"

@@ -56,7 +56,6 @@ TrialEvents run_trial_events(const TrialConfig& cfg, std::uint64_t seed,
   core::GridEvalScratch scratch;
   if (metrics != nullptr) {
     metrics->engine_build_ns += engine.build_ns();
-    metrics->kernel = engine.kernel();
     scratch.counters = &metrics->engine;
   }
   TrialEvents ev{true, true, true};

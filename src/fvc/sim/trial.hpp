@@ -60,20 +60,12 @@ struct TrialMetrics {
   std::uint64_t engine_build_ns = 0;  ///< candidate-binning time
   std::uint64_t rows_scanned = 0;     ///< rows visited before any early exit
   bool early_exit = false;            ///< necessary condition failed mid-scan
-  /// Kernel variant the trial's engine dispatched; nullopt until a trial
-  /// runs.  Recorded so run-level exports name the variant the trials
-  /// actually used instead of re-resolving (which re-reads the
-  /// environment and can throw) after the results are in.
-  std::optional<core::KernelVariant> kernel;
 
   void merge(const TrialMetrics& other) {
     engine.merge(other.engine);
     engine_build_ns += other.engine_build_ns;
     rows_scanned += other.rows_scanned;
     early_exit = early_exit || other.early_exit;
-    if (!kernel.has_value()) {
-      kernel = other.kernel;
-    }
   }
 };
 

@@ -20,7 +20,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -43,15 +42,6 @@ namespace {
 
 using geom::kPi;
 using geom::kTwoPi;
-
-// RAII pin for the kernel seam, so the sweeps can cross every kernel.
-class ForcedKernel {
- public:
-  explicit ForcedKernel(KernelVariant v) { set_forced_kernel(v); }
-  ~ForcedKernel() { set_forced_kernel(std::nullopt); }
-  ForcedKernel(const ForcedKernel&) = delete;
-  ForcedKernel& operator=(const ForcedKernel&) = delete;
-};
 
 // Heterogeneous profile with an omnidirectional group (same shape as
 // test_grid_eval_kernels.cpp) so omni and sector lanes share batches.
@@ -150,8 +140,9 @@ GridRun run_oracle(const Network& net, const DenseGrid& grid, double theta) {
   return run;
 }
 
-GridRun run_engine(const Network& net, const DenseGrid& grid, double theta) {
-  const GridEvalEngine engine(net, grid, theta);
+GridRun run_engine(const Network& net, const DenseGrid& grid, double theta,
+                   KernelVariant kernel) {
+  const GridEvalEngine engine(net, grid, theta, kernel);
   GridEvalScratch scratch;
   GridRun run;
   for (std::size_t row = 0; row < grid.side(); ++row) {
@@ -268,13 +259,12 @@ TEST(CandidateIndex, BitIdenticalAcrossFamiliesIndexesAndKernels) {
           if (!kernel_supported(kernel)) {
             continue;
           }
-          ForcedKernel pin_kernel(kernel);
           const std::string what = std::string("family=") + family_name(fam) +
                                    " seed=" + std::to_string(seed) + " plane=" +
                                    std::to_string(net == &plane) + " kernel=" +
                                    std::string(kernel_name(kernel));
-          expect_runs_identical(ref, run_engine(*net, grid, theta), what);
-          const GridEvalEngine engine(*net, grid, theta);
+          expect_runs_identical(ref, run_engine(*net, grid, theta, kernel), what);
+          const GridEvalEngine engine(*net, grid, theta, kernel);
           GridEvalScratch scratch;
           for (const geom::Vec2& p : edge_probes(engine.cells_per_side())) {
             expect_point_matches_oracle(engine.eval_point(p, scratch), *net, p, theta,

@@ -1,12 +1,13 @@
 // Differential tests across the grid-eval kernel variants (cpu_features.hpp:
 // scalar / generic / avx2 / neon).  The contract under test is the dispatch
-// layer's core promise: pinning any *supported* variant changes only speed —
-// every per-point direction list and every aggregate statistic is
-// bit-identical to the scalar variant (which test_grid_eval.cpp in turn
-// proves identical to the coverage oracles).  Double comparisons go through
-// std::bit_cast<uint64_t> so even a sign-of-zero or NaN-payload divergence
-// would fail.  Pinning an *unsupported* variant must throw, never silently
-// fall back — that is what makes the CI forced-kernel legs trustworthy.
+// layer's core promise: constructing an engine with any *supported* variant
+// changes only speed — every per-point direction list and every aggregate
+// statistic is bit-identical to the scalar variant (which test_grid_eval.cpp
+// in turn proves identical to the coverage oracles).  Every supported
+// variant is constructed explicitly, so each host tests all the variants it
+// can run.  Double comparisons go through std::bit_cast<uint64_t> so even a
+// sign-of-zero or NaN-payload divergence would fail.  Constructing with an
+// *unsupported* variant must throw, never silently fall back.
 // The file also holds the approximate-direction kernel's error-bound test
 // (every compiled backend) and the adversarial-geometry families that
 // pin every variant's filtered direction pipeline to the scalar oracles.
@@ -19,7 +20,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <optional>
 #include <span>
@@ -44,16 +44,6 @@ namespace {
 
 using geom::kPi;
 using geom::kTwoPi;
-
-// RAII pin: tests must never leak a forced kernel into later tests (the
-// pin is process-global), even when an ASSERT unwinds mid-test.
-class ForcedKernel {
- public:
-  explicit ForcedKernel(KernelVariant v) { set_forced_kernel(v); }
-  ~ForcedKernel() { set_forced_kernel(std::nullopt); }
-  ForcedKernel(const ForcedKernel&) = delete;
-  ForcedKernel& operator=(const ForcedKernel&) = delete;
-};
 
 std::vector<KernelVariant> all_variants() {
   std::vector<KernelVariant> out;
@@ -84,20 +74,19 @@ HeterogeneousProfile random_profile_with_omni(stats::Pcg32& rng) {
   return HeterogeneousProfile(std::move(groups));
 }
 
-// Evaluate `net` with the kernel pinned to `v`: every sorted per-point
+// Evaluate `net` on an engine running variant `v`: every sorted per-point
 // direction list plus the whole-grid aggregate, flattened for comparison.
-struct PinnedRun {
+struct VariantRun {
   std::vector<std::vector<double>> directions;  // per grid point, row-major
   RegionCoverageStats stats;
 };
 
-PinnedRun run_pinned(KernelVariant v, const Network& net, const DenseGrid& grid,
-                     double theta) {
-  ForcedKernel pin(v);
-  const GridEvalEngine engine(net, grid, theta);
+VariantRun run_variant(KernelVariant v, const Network& net, const DenseGrid& grid,
+                       double theta) {
+  const GridEvalEngine engine(net, grid, theta, v);
   EXPECT_EQ(engine.kernel(), v);
   GridEvalScratch scratch;
-  PinnedRun run;
+  VariantRun run;
   for (std::size_t row = 0; row < grid.side(); ++row) {
     for (std::size_t col = 0; col < grid.side(); ++col) {
       const std::span<const double> dirs = engine.sorted_directions(row, col, scratch);
@@ -108,8 +97,8 @@ PinnedRun run_pinned(KernelVariant v, const Network& net, const DenseGrid& grid,
   return run;
 }
 
-// Bitwise equality of two pinned runs (ASSERTs on first divergence).
-void expect_runs_identical(const PinnedRun& ref, const PinnedRun& got,
+// Bitwise equality of two variant runs (ASSERTs on first divergence).
+void expect_runs_identical(const VariantRun& ref, const VariantRun& got,
                            KernelVariant v, double theta) {
   ASSERT_EQ(ref.directions.size(), got.directions.size());
   for (std::size_t p = 0; p < ref.directions.size(); ++p) {
@@ -134,21 +123,21 @@ void expect_runs_identical(const PinnedRun& ref, const PinnedRun& got,
             std::bit_cast<std::uint64_t>(got.stats.max_max_gap));
 }
 
-// Run every supported variant against the pinned-scalar reference.
+// Run every supported variant against the scalar-variant reference.
 void expect_all_variants_identical(const Network& net, const DenseGrid& grid,
                                    double theta) {
-  const PinnedRun ref = run_pinned(KernelVariant::kScalar, net, grid, theta);
+  const VariantRun ref = run_variant(KernelVariant::kScalar, net, grid, theta);
   for (const KernelVariant v : all_variants()) {
     if (v == KernelVariant::kScalar || !kernel_supported(v)) {
       continue;
     }
-    const PinnedRun got = run_pinned(v, net, grid, theta);
+    const VariantRun got = run_variant(v, net, grid, theta);
     expect_runs_identical(ref, got, v, theta);
   }
 }
 
 // The build always supports scalar and generic; vector variants depend on
-// the host.  This documents the baseline CI legs can always force.
+// the host.  This documents the baseline every host tests.
 TEST(GridEvalKernels, ScalarAndGenericAlwaysSupported) {
   EXPECT_TRUE(kernel_supported(KernelVariant::kScalar));
   EXPECT_TRUE(kernel_supported(KernelVariant::kGeneric));
@@ -206,10 +195,9 @@ TEST(GridEvalKernels, RemainderTailCountsAgree) {
   }
 }
 
-// Pinning a variant the build/CPU cannot execute must throw at engine
-// construction (std::runtime_error from resolve_kernel) — the loud-failure
-// contract the CI forced-kernel matrix relies on.  On every host at least
-// one of avx2/neon is unsupported, so this always exercises the throw.
+// Constructing an engine with a variant the build/CPU cannot execute must
+// throw std::invalid_argument, never fall back silently.  On every host at
+// least one of avx2/neon is unsupported, so this always exercises the throw.
 TEST(GridEvalKernels, UnsupportedPinThrows) {
   const Network net;
   const DenseGrid grid(4);
@@ -219,77 +207,41 @@ TEST(GridEvalKernels, UnsupportedPinThrows) {
       continue;
     }
     saw_unsupported = true;
-    ForcedKernel pin(v);
-    EXPECT_THROW(GridEvalEngine(net, grid, kPi / 4.0), std::runtime_error)
+    EXPECT_THROW(GridEvalEngine(net, grid, kPi / 4.0, v), std::invalid_argument)
         << "kernel=" << kernel_name(v);
   }
   EXPECT_TRUE(saw_unsupported)
       << "expected at least one of avx2/neon to be unsupported on this host";
 }
 
-// FVC_FORCE_KERNEL drives dispatch when no programmatic pin is set, and an
-// unknown name fails loudly.  (POSIX setenv; these tests are Linux-only CI.)
-TEST(GridEvalKernels, EnvironmentPinRespectedAndValidated) {
-  // CI legs run this whole binary under FVC_FORCE_KERNEL; save and restore
-  // the leg's value so later tests keep running pinned.
-  const char* orig_env = std::getenv("FVC_FORCE_KERNEL");
-  const std::string orig = orig_env != nullptr ? orig_env : "";
-  const bool had_orig = orig_env != nullptr;
-  ASSERT_FALSE(forced_kernel().has_value());
-  ASSERT_EQ(setenv("FVC_FORCE_KERNEL", "generic", 1), 0);
-  EXPECT_EQ(resolve_kernel(), KernelVariant::kGeneric);
-  {
-    const Network net;
-    const DenseGrid grid(4);
-    const GridEvalEngine engine(net, grid, kPi / 4.0);
-    EXPECT_EQ(engine.kernel(), KernelVariant::kGeneric);
+// Dispatch is the widest supported variant, and a default-constructed
+// engine runs it: on an AVX2 host that is avx2, so every default engine in
+// the suite exercises the AVX2 kernel.
+TEST(GridEvalKernels, DefaultEngineRunsTheWidestSupportedVariant) {
+  KernelVariant widest = KernelVariant::kGeneric;
+  for (const KernelVariant v : {KernelVariant::kAvx2, KernelVariant::kNeon}) {
+    if (kernel_supported(v)) {
+      widest = v;
+    }
   }
-  ASSERT_EQ(setenv("FVC_FORCE_KERNEL", "sse9", 1), 0);
-  EXPECT_THROW((void)resolve_kernel(), std::runtime_error);
-  // Set-but-empty counts as unset, not as an unknown kernel: CI matrix
-  // legs export FVC_FORCE_KERNEL="" for the auto-dispatch configurations.
-  ASSERT_EQ(setenv("FVC_FORCE_KERNEL", "", 1), 0);
-  EXPECT_EQ(resolve_kernel(), preferred_kernel());
-  // A programmatic pin outranks the environment.
-  {
-    ForcedKernel pin(KernelVariant::kScalar);
-    ASSERT_EQ(setenv("FVC_FORCE_KERNEL", "generic", 1), 0);
-    EXPECT_EQ(resolve_kernel(), KernelVariant::kScalar);
-  }
-  if (had_orig) {
-    ASSERT_EQ(setenv("FVC_FORCE_KERNEL", orig.c_str(), 1), 0);
-  } else {
-    ASSERT_EQ(unsetenv("FVC_FORCE_KERNEL"), 0);
-    EXPECT_EQ(resolve_kernel(), preferred_kernel());
-  }
+  EXPECT_EQ(preferred_kernel(), widest);
+  EXPECT_NE(preferred_kernel(), KernelVariant::kScalar);
+  const Network net;
+  const DenseGrid grid(4);
+  const GridEvalEngine engine(net, grid, kPi / 4.0);
+  EXPECT_EQ(engine.kernel(), preferred_kernel());
 }
 
-// Name round-trip and lane widths: the stable strings CI legs and the CLI
-// --kernel flag rely on.
+// Stable names and lane widths.
 TEST(GridEvalKernels, NamesRoundTripAndLanes) {
-  for (const KernelVariant v : all_variants()) {
-    const auto back = kernel_from_name(kernel_name(v));
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, v);
-  }
-  EXPECT_FALSE(kernel_from_name("sse2").has_value());
-  EXPECT_FALSE(kernel_from_name("").has_value());
+  EXPECT_EQ(kernel_name(KernelVariant::kScalar), "scalar");
+  EXPECT_EQ(kernel_name(KernelVariant::kGeneric), "generic");
+  EXPECT_EQ(kernel_name(KernelVariant::kAvx2), "avx2");
+  EXPECT_EQ(kernel_name(KernelVariant::kNeon), "neon");
   EXPECT_EQ(kernel_lanes(KernelVariant::kScalar), 1u);
   EXPECT_EQ(kernel_lanes(KernelVariant::kGeneric), 4u);
   EXPECT_EQ(kernel_lanes(KernelVariant::kAvx2), 4u);
   EXPECT_EQ(kernel_lanes(KernelVariant::kNeon), 4u);
-}
-
-// Constructing an engine bumps the dispatch counter of exactly the variant
-// it resolved to.
-TEST(GridEvalKernels, DispatchCountersTrackConstruction) {
-  const Network net;
-  const DenseGrid grid(4);
-  ForcedKernel pin(KernelVariant::kGeneric);
-  const std::uint64_t before = kernel_dispatch_count(KernelVariant::kGeneric);
-  const GridEvalEngine engine(net, grid, kPi / 4.0);
-  EXPECT_EQ(engine.kernel(), KernelVariant::kGeneric);
-  EXPECT_EQ(kernel_dispatch_count(KernelVariant::kGeneric), before + 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -667,15 +619,14 @@ void expect_same_full_view(const FullViewResult& want, const FullViewResult& got
   }
 }
 
-// Every predicate entry point of one pinned engine against the scalar
+// Every predicate entry point of one engine running `v` against the scalar
 // oracles, bit for bit.  Returns the exact atan2 calls the decision-only
 // paths (point_necessary / point_sufficient / row_events / row_all_*)
 // made: only directions near a decision boundary reach atan2 there.
 std::uint64_t expect_engine_matches_oracles(KernelVariant v, const Network& net,
                                             const DenseGrid& grid, double theta,
                                             const std::string& family) {
-  ForcedKernel pin(v);
-  const GridEvalEngine engine(net, grid, theta);
+  const GridEvalEngine engine(net, grid, theta, v);
   const std::string tag = family + " kernel=" + std::string(kernel_name(v)) +
                           " theta=" + std::to_string(theta);
   GridEvalScratch scratch;

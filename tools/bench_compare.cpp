@@ -103,11 +103,9 @@ int main(int argc, char** argv) {
   const core::Network net = deploy::deploy_uniform_network(profile, n, rng);
   const core::DenseGrid grid(side);
 
-  // The kernel variant every batched/parallel pass below will dispatch to
-  // (resolved exactly as engine construction does, including any
-  // FVC_FORCE_KERNEL pin) — recorded so the JSON ties each timing to the
-  // ISA that produced it.
-  const core::KernelVariant kernel = core::resolve_kernel();
+  // The kernel variant every batched/parallel pass below dispatches to —
+  // recorded so the JSON ties each timing to the ISA that produced it.
+  const core::KernelVariant kernel = core::preferred_kernel();
 
   core::RegionCoverageStats scalar_stats;
   core::RegionCoverageStats batched_stats;

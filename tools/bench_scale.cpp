@@ -1,9 +1,10 @@
 /// bench_scale — thread scaling harness for the row-parallel grid scan.
 ///
 /// Sweeps a (grid side, population) ladder through the row-parallel
-/// entry point `sim::evaluate_region_parallel` over a threads x kernel
-/// matrix, timing each cell against the serial batched engine
-/// (`core::evaluate_region`) under the same kernel pin.
+/// entry point `sim::evaluate_region_parallel` over a thread ladder,
+/// timing each cell against the serial batched engine
+/// (`core::evaluate_region`).  Both run the kernel variant the CPU
+/// dispatches (`core::preferred_kernel`), which the record names.
 /// Every cell's statistics must be bit-identical to the serial scan — a
 /// mismatch is a nonzero exit, not a footnote.  Worker utilization per
 /// cell comes from a metered pass taken outside the timed reps, so the
@@ -20,14 +21,13 @@
 /// isolates *scheduling and index* behaviour, not density effects.
 ///
 /// Usage:
-///   bench_scale [out.json] [sides] [ns] [threads] [reps] [kernels]
+///   bench_scale [out.json] [sides] [ns] [threads] [reps]
 ///     out.json  output path                    default BENCH_scale.json
 ///     sides     comma list of grid sides       default 512,1024,2048
 ///     ns        comma list of populations,     default 10000,100000,1000000
 ///               zipped with `sides` (the shorter list's last entry repeats)
 ///     threads   comma list of thread counts    default 1,2,4
 ///     reps      best-of repetitions per cell   default 3
-///     kernels   comma list of kernel variants  default auto (resolved)
 ///
 /// The JSON record (schema fvc.bench_scale/4) embeds hardware_concurrency
 /// and a `degenerate_host` flag (<= 1 core): speedups are only meaningful
@@ -154,7 +154,7 @@ struct ConfigRecord {
   double cand_mean = 0.0;
   double cand_p99 = 0.0;
   std::size_t index_bytes = 0;
-  std::vector<KernelRecord> kernels;
+  KernelRecord kernel;  ///< the dispatched variant's timings
 };
 
 }  // namespace
@@ -169,7 +169,6 @@ int main(int argc, char** argv) {
       parse_size_list(argc > 4 ? argv[4] : "1,2,4", "threads");
   const std::size_t reps =
       std::max<std::size_t>(1, argc > 5 ? static_cast<std::size_t>(std::atoll(argv[5])) : 3);
-  const std::string kernels_arg = argc > 6 ? argv[6] : "auto";
   const double theta = geom::kPi / 4.0;
 
   const unsigned cores = std::thread::hardware_concurrency();
@@ -185,39 +184,6 @@ int main(int argc, char** argv) {
                  "bench_scale: %s was recorded on %u cores, this host has %u — "
                  "refusing to overwrite (set FVC_BENCH_ALLOW_DEGRADE=1 to force)\n",
                  out_path.c_str(), *prev, cores);
-    return 1;
-  }
-
-  // Resolve the kernel matrix up front.  "auto" = whatever resolve_kernel
-  // picks (honouring FVC_FORCE_KERNEL); explicit names must be runnable.
-  std::vector<core::KernelVariant> kernels;
-  {
-    std::stringstream ss(kernels_arg);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      if (item.empty()) {
-        continue;
-      }
-      if (item == "auto") {
-        kernels.push_back(core::resolve_kernel());
-        continue;
-      }
-      const std::optional<core::KernelVariant> v = core::kernel_from_name(item);
-      if (!v.has_value()) {
-        std::fprintf(stderr, "bench_scale: unknown kernel '%s'\n", item.c_str());
-        return 1;
-      }
-      if (!core::kernel_supported(*v)) {
-        std::fprintf(stderr, "bench_scale: kernel '%s' not runnable here — skipped\n",
-                     item.c_str());
-        continue;
-      }
-      kernels.push_back(*v);
-    }
-  }
-  if (kernels.empty()) {
-    std::fprintf(stderr, "bench_scale: no runnable kernels in '%s'\n",
-                 kernels_arg.c_str());
     return 1;
   }
 
@@ -271,51 +237,46 @@ int main(int argc, char** argv) {
     std::printf("  index build %8.3f ms, %.1f cand/pt mean, %.0f p99, %zu KiB\n",
                 rec.build_ms, rec.cand_mean, rec.cand_p99, rec.index_bytes / 1024);
 
-    for (const core::KernelVariant kv : kernels) {
-      core::set_forced_kernel(kv);
-      KernelRecord krec;
-      krec.name = std::string(core::kernel_name(kv));
-      core::RegionCoverageStats serial_stats;
-      krec.serial_ms = best_of_ms(
-          reps, [&] { serial_stats = core::evaluate_region(net, grid, theta); });
-      std::printf("    kernel=%-7s serial %9.3f ms\n", krec.name.c_str(), krec.serial_ms);
+    KernelRecord& krec = rec.kernel;
+    krec.name = std::string(core::kernel_name(core::preferred_kernel()));
+    core::RegionCoverageStats serial_stats;
+    krec.serial_ms = best_of_ms(
+        reps, [&] { serial_stats = core::evaluate_region(net, grid, theta); });
+    std::printf("    kernel=%-7s serial %9.3f ms\n", krec.name.c_str(), krec.serial_ms);
 
-      for (const std::size_t threads : thread_list) {
-        Cell cell;
-        cell.threads = threads;
-        core::RegionCoverageStats par_stats;
-        cell.ms = best_of_ms(reps, [&] {
-          par_stats = sim::evaluate_region_parallel(net, grid, theta, threads);
-        });
-        if (!same_stats(serial_stats, par_stats)) {
-          std::fprintf(stderr,
-                       "bench_scale: FAIL — threads=%zu kernel=%s differs from the "
-                       "serial scan\n",
-                       threads, krec.name.c_str());
-          all_identical = false;
-        }
-        // Metered pass, outside the timed reps: utilization; must still be
-        // bit-identical.
-        obs::MetricsNode node("scan");
-        const core::RegionCoverageStats metered_stats =
-            sim::evaluate_region_parallel(net, grid, theta, threads, &node);
-        if (!same_stats(serial_stats, metered_stats)) {
-          std::fprintf(stderr,
-                       "bench_scale: FAIL — metered threads=%zu kernel=%s differs "
-                       "from the serial scan\n",
-                       threads, krec.name.c_str());
-          all_identical = false;
-        }
-        const obs::MetricsNode* pool = node.find_child("pool");
-        cell.utilization = pool != nullptr ? pool->counter("utilization") : 0.0;
-        cell.speedup = cell.ms > 0.0 ? krec.serial_ms / cell.ms : 0.0;
-        std::printf("      threads=%zu: %9.3f ms  (%.2fx, util %.2f)\n", threads,
-                    cell.ms, cell.speedup, cell.utilization);
-        krec.cells.push_back(cell);
+    for (const std::size_t threads : thread_list) {
+      Cell cell;
+      cell.threads = threads;
+      core::RegionCoverageStats par_stats;
+      cell.ms = best_of_ms(reps, [&] {
+        par_stats = sim::evaluate_region_parallel(net, grid, theta, threads);
+      });
+      if (!same_stats(serial_stats, par_stats)) {
+        std::fprintf(stderr,
+                     "bench_scale: FAIL — threads=%zu kernel=%s differs from the "
+                     "serial scan\n",
+                     threads, krec.name.c_str());
+        all_identical = false;
       }
-      rec.kernels.push_back(std::move(krec));
+      // Metered pass, outside the timed reps: utilization; must still be
+      // bit-identical.
+      obs::MetricsNode node("scan");
+      const core::RegionCoverageStats metered_stats =
+          sim::evaluate_region_parallel(net, grid, theta, threads, &node);
+      if (!same_stats(serial_stats, metered_stats)) {
+        std::fprintf(stderr,
+                     "bench_scale: FAIL — metered threads=%zu kernel=%s differs "
+                     "from the serial scan\n",
+                     threads, krec.name.c_str());
+        all_identical = false;
+      }
+      const obs::MetricsNode* pool = node.find_child("pool");
+      cell.utilization = pool != nullptr ? pool->counter("utilization") : 0.0;
+      cell.speedup = cell.ms > 0.0 ? krec.serial_ms / cell.ms : 0.0;
+      std::printf("      threads=%zu: %9.3f ms  (%.2fx, util %.2f)\n", threads,
+                  cell.ms, cell.speedup, cell.utilization);
+      krec.cells.push_back(cell);
     }
-    core::set_forced_kernel(std::nullopt);
     configs.push_back(std::move(rec));
   }
 
@@ -352,24 +313,24 @@ int main(int argc, char** argv) {
                   rec.side, rec.n, rec.radius_omni, rec.radius_sector, rec.build_ms,
                   rec.cand_mean, rec.cand_p99, rec.index_bytes);
     record << buf;
+    // Schema fvc.bench_scale/4 keeps a kernels array; it holds the one
+    // dispatched variant.
     record << "      \"kernels\": [\n";
-    for (std::size_t k = 0; k < rec.kernels.size(); ++k) {
-      const KernelRecord& krec = rec.kernels[k];
+    const KernelRecord& krec = rec.kernel;
+    std::snprintf(buf, sizeof(buf),
+                  "        {\"kernel\": \"%s\", \"serial_ms\": %.3f, \"cells\": [\n",
+                  krec.name.c_str(), krec.serial_ms);
+    record << buf;
+    for (std::size_t i = 0; i < krec.cells.size(); ++i) {
+      const Cell& cell = krec.cells[i];
       std::snprintf(buf, sizeof(buf),
-                    "        {\"kernel\": \"%s\", \"serial_ms\": %.3f, \"cells\": [\n",
-                    krec.name.c_str(), krec.serial_ms);
+                    "          {\"threads\": %zu, \"ms\": %.3f, \"speedup\": %.2f, "
+                    "\"utilization\": %.3f}%s\n",
+                    cell.threads, cell.ms, cell.speedup, cell.utilization,
+                    i + 1 < krec.cells.size() ? "," : "");
       record << buf;
-      for (std::size_t i = 0; i < krec.cells.size(); ++i) {
-        const Cell& cell = krec.cells[i];
-        std::snprintf(buf, sizeof(buf),
-                      "          {\"threads\": %zu, \"ms\": %.3f, \"speedup\": %.2f, "
-                      "\"utilization\": %.3f}%s\n",
-                      cell.threads, cell.ms, cell.speedup, cell.utilization,
-                      i + 1 < krec.cells.size() ? "," : "");
-        record << buf;
-      }
-      record << "        ]}" << (k + 1 < rec.kernels.size() ? "," : "") << "\n";
     }
+    record << "        ]}\n";
     record << "      ]\n";
     record << "    }" << (c + 1 < configs.size() ? "," : "") << "\n";
   }
