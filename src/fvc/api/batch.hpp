@@ -20,8 +20,8 @@
 ///
 /// Bit-identity contract: batching changes *scheduling*, never results.
 /// `Session::query_points` answers each point through
-/// `GridEvalEngine::eval_point` (one candidate gather + one sort feed all
-/// three predicates), the same path the in-process `handle_query` takes,
+/// `GridEvalEngine::eval_point` (one candidate gather feeds all three
+/// sort-free filtered predicates), the same path the in-process `handle_query` takes,
 /// so a point gets the same bytes whichever round carried it.  The
 /// round's digest is captured under the same session-mutex hold that
 /// evaluates the points, so a concurrent what-if edit can never tear a

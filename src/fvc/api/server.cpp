@@ -202,7 +202,6 @@ std::string handle_stats(Session& session, obs::ServeStats& stats) {
   }
   w.add_integer("cache_hits", snap.cache.hits);
   w.add_integer("cache_misses", snap.cache.misses);
-  w.add_integer("cache_evictions", snap.cache.evictions);
   w.add_integer("cache_carried_forward", snap.cache.carried_forward);
   w.add_integer("cache_tiles", snap.cache.tiles);
   w.add_integer("cache_capacity", snap.cache.capacity);
@@ -271,7 +270,7 @@ std::string handle_parsed(Session& session, const WireObject& req,
   }
   if (op == "info") {
     type_out = obs::ReqType::kInfo;
-    const TileCacheStats& cs = session.cache_stats();
+    const RowCacheStats& cs = session.cache_stats();
     JsonObjectWriter w;
     w.add_bool("ok", true);
     w.add_string("schema", kQuerySchema);
@@ -279,12 +278,10 @@ std::string handle_parsed(Session& session, const WireObject& req,
     w.add_integer("cameras", session.camera_count());
     w.add_number("theta", session.theta());
     w.add_integer("grid_side", session.grid_side());
-    w.add_integer("tile_rows", session.tile_rows());
-    w.add_integer("cache_capacity", session.cache().capacity());
-    w.add_integer("cache_size", session.cache().size());
+    w.add_integer("cache_capacity", session.grid_side());
+    w.add_integer("cache_size", session.cached_rows());
     w.add_integer("cache_hits", cs.hits);
     w.add_integer("cache_misses", cs.misses);
-    w.add_integer("cache_evictions", cs.evictions);
     w.add_integer("cache_carried_forward", cs.carried_forward);
     return w.finish();
   }
@@ -294,15 +291,14 @@ std::string handle_parsed(Session& session, const WireObject& req,
 }  // namespace
 
 obs::CacheMirror cache_mirror_of(const Session& session) {
-  const TileCacheStats& cs = session.cache_stats();
+  const RowCacheStats& cs = session.cache_stats();
   obs::CacheMirror m;
   m.hits = cs.hits;
   m.misses = cs.misses;
-  m.evictions = cs.evictions;
   m.carried_forward = cs.carried_forward;
-  m.tiles = session.cache().size();
-  m.capacity = session.cache().capacity();
-  m.bytes = session.cache().approx_bytes();
+  m.tiles = session.cached_rows();
+  m.capacity = session.grid_side();
+  m.bytes = session.cache_bytes();
   return m;
 }
 

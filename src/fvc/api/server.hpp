@@ -4,7 +4,7 @@
 /// The server accepts concurrent clients (one handler thread per
 /// connection) but serializes Session access under one mutex — the
 /// parallelism that matters lives *inside* each region query, where the
-/// Session batches missing tiles into the SIMD kernel through
+/// Session batches invalid rows into the SIMD kernel through
 /// `sim::parallel_for`.  Serialization is also what makes
 /// concurrent clients deterministic: every request sees a consistent
 /// deployment digest, and interleaved what-if edits cannot tear a query.
@@ -80,7 +80,7 @@ struct ServeReport {
   std::uint64_t peak_threads = 0;
 };
 
-/// The session's tile-cache counters packaged for the telemetry mirror
+/// The session's row-cache counters packaged for the telemetry mirror
 /// (`obs::ServeStats::note_cache`).  Callers hold the session mutex.
 [[nodiscard]] obs::CacheMirror cache_mirror_of(const Session& session);
 

@@ -1,7 +1,6 @@
 #include "fvc/api/session.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -76,17 +75,13 @@ Session::Session(SessionConfig cfg)
     : cameras_(std::move(cfg.cameras)),
       theta_(cfg.theta),
       grid_(cfg.grid_side),
-      tile_rows_(cfg.tile_rows),
       threads_(cfg.threads == 0 ? sim::default_thread_count() : cfg.threads),
       metrics_(cfg.metrics),
       progress_(std::move(cfg.progress)),
       text_(grid_.side(), theta_, cameras_),
       digest_(text_.value()),
-      cache_(cfg.cache_tiles) {
+      rows_(grid_.side()) {
   core::validate_theta(theta_);
-  if (tile_rows_ == 0) {
-    throw std::invalid_argument("Session: tile_rows must be >= 1");
-  }
   net_ = std::make_unique<core::Network>(cameras_);
   engine_ = std::make_unique<core::GridEvalEngine>(*net_, grid_, theta_);
   if (metrics_ != nullptr) {
@@ -160,14 +155,9 @@ std::string Session::digest_hex() const {
   return buf;
 }
 
-TileKey Session::key_for(std::size_t row_begin, std::size_t row_end) const {
-  TileKey key;
-  key.digest = digest_;
-  key.theta_bits = std::bit_cast<std::uint64_t>(theta_);
-  key.k = core::implied_k(theta_);
-  key.row_begin = static_cast<std::uint32_t>(row_begin);
-  key.row_end = static_cast<std::uint32_t>(row_end);
-  return key;
+std::size_t Session::cached_rows() const {
+  return static_cast<std::size_t>(std::count_if(
+      rows_.begin(), rows_.end(), [](const auto& slot) { return slot.has_value(); }));
 }
 
 PointAnswer Session::query_point(double x, double y) {
@@ -217,37 +207,23 @@ RegionAnswer Session::query_region(double y_lo, double y_hi) {
   if (first == side) {
     return ans;  // empty strip: zero rows, zero points
   }
-  // Widen to whole cache tiles so the band partitions into cacheable
-  // aligned blocks; the answer reports the rows actually evaluated.
-  const std::size_t row_begin = (first / tile_rows_) * tile_rows_;
-  const std::size_t row_end = std::min(side, ((last / tile_rows_) + 1) * tile_rows_);
-  ans.row_begin = row_begin;
-  ans.row_end = row_end;
-  ans.tiles_total = (row_end - row_begin + tile_rows_ - 1) / tile_rows_;
-
-  struct Tile {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    core::GridRowStats stats;
-    bool cached = false;
-  };
-  std::vector<Tile> tiles(ans.tiles_total);
+  ans.row_begin = first;
+  ans.row_end = last + 1;
+  ans.tiles_total = ans.row_end - ans.row_begin;
   std::vector<std::size_t> missing;
-  for (std::size_t i = 0; i < tiles.size(); ++i) {
-    Tile& t = tiles[i];
-    t.begin = row_begin + i * tile_rows_;
-    t.end = std::min(row_end, t.begin + tile_rows_);
-    t.cached = cache_.lookup(key_for(t.begin, t.end), t.stats);
-    if (!t.cached) {
-      missing.push_back(i);
+  for (std::size_t row = ans.row_begin; row < ans.row_end; ++row) {
+    if (!rows_[row]) {
+      missing.push_back(row);
     }
   }
-  ans.tiles_cached = tiles.size() - missing.size();
   ans.tiles_computed = missing.size();
+  ans.tiles_cached = ans.tiles_total - ans.tiles_computed;
+  cache_stats_.hits += ans.tiles_cached;
+  cache_stats_.misses += ans.tiles_computed;
 
   if (!missing.empty()) {
-    // Missing tiles batch into the SIMD kernel concurrently; each tile is
-    // one engine block call, and the fold below stays in row order, so
+    // Invalid rows batch into the SIMD kernel concurrently, one row per
+    // claim into its own slot; the fold below stays in row order, so
     // scheduling cannot perturb the answer.
     const std::size_t workers =
         std::clamp<std::size_t>(threads_, 1, missing.size());
@@ -255,61 +231,49 @@ RegionAnswer Session::query_region(double y_lo, double y_hi) {
     std::mutex progress_mutex;
     std::size_t done = ans.tiles_cached;
     sim::parallel_for(missing.size(), workers, [&](std::size_t m, std::size_t worker) {
-      Tile& t = tiles[missing[m]];
-      t.stats = engine_->block_stats(t.begin, t.end, scratches[worker]);
+      rows_[missing[m]] = engine_->row_stats(missing[m], scratches[worker]);
       if (progress_) {
         const std::lock_guard<std::mutex> lock(progress_mutex);
         ++done;
         progress_(done, ans.tiles_total);
       }
     });
-    for (const std::size_t m : missing) {
-      const Tile& t = tiles[m];
-      cache_.insert(key_for(t.begin, t.end), t.stats);
-    }
   }
 
   // Row-order fold over the band — the exact reduction of the serial scan
-  // (`core::fold_row_stats`), so cached and computed tiles are
+  // (`core::fold_row_stats`), so cached and computed rows are
   // indistinguishable and a whole-grid query matches evaluate_region
   // bit-for-bit.
-  ans.stats.total_points = (row_end - row_begin) * side;
-  for (std::size_t i = 0; i < tiles.size(); ++i) {
-    core::fold_row_stats(ans.stats, tiles[i].stats, i == 0);
+  ans.stats.total_points = ans.tiles_total * side;
+  for (std::size_t row = ans.row_begin; row < ans.row_end; ++row) {
+    core::fold_row_stats(ans.stats, *rows_[row], row == ans.row_begin);
   }
   if (metrics_ != nullptr) {
     metrics_->add("region_queries", 1.0);
     metrics_->add("tiles_cached", static_cast<double>(ans.tiles_cached));
     metrics_->add("tiles_computed", static_cast<double>(ans.tiles_computed));
-    const TileCacheStats& cs = cache_.stats();
-    metrics_->set("cache_hits", static_cast<double>(cs.hits));
-    metrics_->set("cache_misses", static_cast<double>(cs.misses));
-    metrics_->set("cache_evictions", static_cast<double>(cs.evictions));
-    metrics_->set("cache_carried_forward", static_cast<double>(cs.carried_forward));
-    metrics_->set("cache_size", static_cast<double>(cache_.size()));
+    metrics_->set("cache_hits", static_cast<double>(cache_stats_.hits));
+    metrics_->set("cache_misses", static_cast<double>(cache_stats_.misses));
+    metrics_->set("cache_carried_forward",
+                  static_cast<double>(cache_stats_.carried_forward));
+    metrics_->set("cache_size", static_cast<double>(cached_rows()));
   }
   return ans;
 }
 
-bool Session::disk_reaches_rows(const core::Camera& cam, std::size_t row_begin,
-                                std::size_t row_end) const {
-  // Cell-center y span of the tile.  Coverage requires 2D distance
-  // <= radius, and the torus y-distance lower-bounds it, so a tile whose
-  // whole y span is further than the radius is provably untouched.
-  const double side = static_cast<double>(grid_.side());
-  const double lo = (static_cast<double>(row_begin) + 0.5) / side;
-  const double hi = (static_cast<double>(row_end - 1) + 0.5) / side;
-  const double y = cam.position.y;
-  const double dy =
-      (lo <= y && y <= hi) ? 0.0 : std::min(torus_dy(y, lo), torus_dy(y, hi));
-  return dy <= cam.radius;
+bool Session::disk_reaches_row(const core::Camera& cam, std::size_t row) const {
+  // Coverage requires 2D distance <= radius, and the torus y-distance to
+  // the row's cell centers lower-bounds it, so a row further than the
+  // radius is provably untouched.
+  const double y = (static_cast<double>(row) + 0.5) / static_cast<double>(grid_.side());
+  return torus_dy(cam.position.y, y) <= cam.radius;
 }
 
 std::uint64_t Session::edit(std::size_t index, bool erase,
                             std::optional<core::Camera> added, double theta) {
   // Stage the camera list.  `added` is taken by value, so the caller may
   // pass one of this session's own cameras; `removed` is both a touched
-  // camera (its disk dirties tiles) and the rollback value.
+  // camera (its disk dirties rows) and the rollback value.
   const core::Camera* insert = added ? &*added : nullptr;
   const core::Camera removed = erase ? cameras_[index] : core::Camera{};
   const double old_theta = theta_;
@@ -346,23 +310,24 @@ std::uint64_t Session::edit(std::size_t index, bool erase,
     throw;
   }
 
-  // Commit, then carry clean tiles across the edit.  Entries keep their
-  // own theta_bits, so they stay truthful even across theta edits (and
-  // hit again if theta returns); only tiles a touched camera can reach
-  // are dropped.
+  // Commit, then clear the rows the edit can reach: every row when theta
+  // changed, else those the removed or inserted camera's disk reaches.
+  // The other rows stay valid for the new deployment.
   const std::uint64_t t_rebuild = obs::monotonic_ns();
-  const std::uint64_t old_digest = digest_;
   net_ = std::move(net);
   engine_ = std::move(engine);
   digest_ = text_.value();
-  cache_.carry_forward(old_digest, digest_,
-                       [&](std::size_t row_begin, std::size_t row_end) {
-                         const bool dirty =
-                             (erase && disk_reaches_rows(removed, row_begin, row_end)) ||
-                             (insert != nullptr &&
-                              disk_reaches_rows(*insert, row_begin, row_end));
-                         return !dirty;
-                       });
+  for (std::size_t row = 0; row < rows_.size(); ++row) {
+    if (!rows_[row]) {
+      continue;
+    }
+    if (theta != old_theta || (erase && disk_reaches_row(removed, row)) ||
+        (insert != nullptr && disk_reaches_row(*insert, row))) {
+      rows_[row].reset();
+    } else {
+      ++cache_stats_.carried_forward;
+    }
+  }
   if (metrics_ != nullptr) {
     metrics_->add("what_if_edits", 1.0);
     metrics_->add("what_if_digest_ns", static_cast<double>(t_digest - t_stage));
@@ -393,7 +358,6 @@ std::uint64_t Session::move_camera(std::size_t index, const core::Camera& cam) {
 
 std::uint64_t Session::set_theta(double theta) {
   core::validate_theta(theta);
-  // theta is keyed per tile, so no tile is dirtied.
   return edit(cameras_.size(), false, std::nullopt, theta);
 }
 

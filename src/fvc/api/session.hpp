@@ -5,7 +5,7 @@
 /// without re-paying process launch, camera load, or CSR candidate
 /// binning per question.  It owns a loaded `core::Network`, the
 /// `core::GridEvalEngine` built from it, a content-derived deployment
-/// digest, and an LRU cache of evaluated grid tiles (tile_cache.hpp).
+/// digest, and one cached `core::GridRowStats` slot per grid row.
 ///
 /// Determinism contract (inherited, not new): every answer is
 /// bit-identical to the equivalent one-shot evaluation of the same
@@ -15,9 +15,9 @@
 ///     oracles (`full_view_covered`, `meets_necessary_condition`,
 ///     `meets_sufficient_condition`) a fresh CLI process runs — one path,
 ///     so a point gets the same bytes alone or batched;
-///   * `query_region` folds `GridEvalEngine::block_stats` tiles in row
+///   * `query_region` folds `GridEvalEngine::row_stats` rows in row
 ///     order through `core::fold_row_stats`, replaying the serial
-///     reduction exactly, whether a tile came from the cache or was just
+///     reduction exactly, whether a row came from its slot or was just
 ///     computed — so cache hits are unobservable in the answer.
 ///
 /// Point queries live on [0, 1]^2: coordinates outside it (NaN included)
@@ -26,34 +26,34 @@
 /// The digest is FNV-1a over a canonical text: a header (grid side,
 /// theta) and one `cam=...` line per camera in index order, doubles as
 /// %.17g.  It is content-derived, so an edit sequence that returns to a
-/// prior deployment returns to its prior digest, and stale cache entries
-/// can never be confused with current ones.  The session keeps that text
-/// incrementally — the camera lines in one buffer plus the FNV-1a state
-/// at the start of every line — so an edit formats only the camera it
-/// touches and re-hashes from the first touched line on.
+/// prior deployment returns to its prior digest.  The session keeps that
+/// text incrementally — the camera lines in one buffer plus the FNV-1a
+/// state at the start of every line — so an edit formats only the camera
+/// it touches and re-hashes from the first touched line on.
 ///
 /// What-if edits (add / move / remove a camera, change theta) are one
 /// transaction: stage the camera list and its digest lines, build a new
 /// Network and engine, then commit — or, when the build throws (an
 /// invalid camera), roll the cameras, lines and hash states back and
-/// keep serving the previous deployment.  Cache invalidation is scoped
-/// to *dirty* tiles: entries of the previous digest are re-keyed to the
-/// new one unless the edited camera's sensing disk can reach the tile's
-/// rows (a y-distance test, exact because coverage needs 2D distance
-/// <= radius and the y-distance lower-bounds it).
+/// keep serving the previous deployment.  The row slots always describe
+/// the current cameras and theta: a committed camera edit clears only the
+/// rows the removed or inserted camera's sensing disk can reach (a
+/// y-distance test, exact because coverage needs 2D distance <= radius
+/// and the y-distance lower-bounds it), and a theta edit clears every
+/// row.
 ///
-/// A Session is NOT thread-safe (queries mutate the cache and metrics);
-/// the serve layer serializes access under one mutex (the point batcher
-/// takes it once per round) and keeps parallelism *inside* each region
-/// query, where missing tiles are evaluated concurrently through
-/// `sim::parallel_for` (one tile per claim) into the SIMD kernel.
+/// A Session is NOT thread-safe (queries mutate the row slots and
+/// metrics); the serve layer serializes access under one mutex (the point
+/// batcher takes it once per round) and keeps parallelism *inside* each
+/// region query, where invalid rows are evaluated concurrently through
+/// `sim::parallel_for` (one row per claim) into the SIMD kernel.
 ///
 /// The metrics node exported at construction carries the engine's index
 /// resolution (`cells_target` / `cells_clamped`) and heap footprint
 /// (`index_bytes`).  Each committed edit adds 1 to `what_if_edits` and
 /// its stage times to `what_if_digest_ns` (format + hash),
-/// `what_if_rebuild_ns` (Network + engine) and `what_if_carry_ns` (cache
-/// carry-forward).  Tile evaluation uses per-worker scratches, so the
+/// `what_if_rebuild_ns` (Network + engine) and `what_if_carry_ns` (row
+/// invalidation).  Row evaluation uses per-worker scratches, so the
 /// row-slice cache works the same under serve as in batch scans; point
 /// queries gather their candidates off-lattice and never touch a row
 /// slice.
@@ -76,8 +76,6 @@
 #include "fvc/geometry/angle.hpp"
 #include "fvc/obs/cancellation.hpp"
 
-#include "fvc/api/tile_cache.hpp"
-
 namespace fvc::obs {
 class MetricsNode;  // fvc/obs/run_metrics.hpp
 }
@@ -89,12 +87,10 @@ struct SessionConfig {
   std::vector<core::Camera> cameras;  ///< the deployment to serve
   double theta = geom::kHalfPi;       ///< effective angle, in (0, pi]
   std::size_t grid_side = 64;         ///< region-query grid resolution
-  std::size_t tile_rows = 8;          ///< rows per cache tile (>= 1)
-  std::size_t cache_tiles = 1024;     ///< LRU capacity, in tiles
   std::size_t threads = 0;            ///< workers per region query; 0 = auto
   /// Metrics destination (null = no collection).  Not owned.
   obs::MetricsNode* metrics = nullptr;
-  /// Progress feed (tiles done / tiles total per region query) — the
+  /// Progress feed (rows done / rows total per region query) — the
   /// stall-watchdog hook.  Empty = no reporting.
   obs::ProgressFn progress;
 };
@@ -120,14 +116,22 @@ struct PointAnswer {
 };
 
 /// Answer to a region query: coverage stats over the evaluated row band
-/// plus cache effectiveness for this query.
+/// plus cache effectiveness for this query.  The `tiles_*` counts keep
+/// their wire names; a tile is one grid row.
 struct RegionAnswer {
   core::RegionCoverageStats stats;
   std::size_t row_begin = 0;  ///< first evaluated grid row
   std::size_t row_end = 0;    ///< one past the last evaluated row
-  std::size_t tiles_total = 0;
-  std::size_t tiles_cached = 0;    ///< answered from the LRU cache
-  std::size_t tiles_computed = 0;  ///< evaluated by the engine this call
+  std::size_t tiles_total = 0;     ///< rows in the band
+  std::size_t tiles_cached = 0;    ///< rows answered from their slot
+  std::size_t tiles_computed = 0;  ///< rows evaluated by the engine this call
+};
+
+/// Lifetime accounting of the row slots.
+struct RowCacheStats {
+  std::uint64_t hits = 0;             ///< rows answered from their slot
+  std::uint64_t misses = 0;           ///< rows evaluated by the engine
+  std::uint64_t carried_forward = 0;  ///< valid rows kept across an edit
 };
 
 /// The hot-engine facade.  See the file comment for the contract.
@@ -135,7 +139,7 @@ class Session {
  public:
   /// Builds the network, the engine and the digest up front.
   /// \throws std::invalid_argument on invalid cameras, theta outside
-  /// (0, pi], grid_side/tile_rows/cache_tiles of 0.
+  /// (0, pi], grid_side of 0.
   explicit Session(SessionConfig cfg);
 
   [[nodiscard]] std::uint64_t digest() const { return digest_; }
@@ -143,15 +147,19 @@ class Session {
   [[nodiscard]] std::string digest_hex() const;
   [[nodiscard]] double theta() const { return theta_; }
   [[nodiscard]] std::size_t grid_side() const { return grid_.side(); }
-  [[nodiscard]] std::size_t tile_rows() const { return tile_rows_; }
   [[nodiscard]] std::size_t camera_count() const { return cameras_.size(); }
   [[nodiscard]] const core::Camera& camera(std::size_t i) const {
     return cameras_.at(i);
   }
-  [[nodiscard]] const TileCache& cache() const { return cache_; }
-  /// Lifetime cache accounting — the single source for the serve
+  /// Lifetime row-cache accounting — the single source for the serve
   /// telemetry plane and the CLI's end-of-run table.
-  [[nodiscard]] const TileCacheStats& cache_stats() const { return cache_.stats(); }
+  [[nodiscard]] const RowCacheStats& cache_stats() const { return cache_stats_; }
+  /// Rows whose slot is valid now (of `grid_side()`).
+  [[nodiscard]] std::size_t cached_rows() const;
+  /// Bytes of the slot array.
+  [[nodiscard]] std::size_t cache_bytes() const {
+    return rows_.size() * sizeof(rows_[0]);
+  }
 
   /// Point query at (x, y): `query_points` of one point.  The in-process
   /// `handle_query` path; the daemon answers every served point through
@@ -161,27 +169,26 @@ class Session {
 
   /// Batched point queries: answer `n` points in one pass through the
   /// engine's fused kernel path (`GridEvalEngine::eval_point` — one
-  /// candidate gather and one sort per point, SIMD classify, zero heap
-  /// allocations after warm-up) into `out[0..n)`.  This is the serve
-  /// daemon's only point entry: each group-commit round (batch.hpp) is
-  /// one call, amortising dispatch over up to 256 points from
-  /// concurrent clients.
+  /// candidate gather and the sort-free filtered predicates per point,
+  /// SIMD classify, zero heap allocations after warm-up) into
+  /// `out[0..n)`.  This is the serve daemon's only point entry: each
+  /// group-commit round (batch.hpp) is one call, amortising dispatch over
+  /// up to 256 points from concurrent clients.
   /// \throws PointDomainError when any point lies outside [0, 1]^2;
   /// nothing is evaluated then.
   void query_points(const double* xs, const double* ys, std::size_t n,
                     PointAnswer* out);
 
   /// Region query over the horizontal strip [y_lo, y_hi] (clamped to
-  /// [0, 1]; y_lo <= y_hi required).  The strip is resolved to the grid
-  /// rows whose cell centers it contains, widened to whole cache tiles —
-  /// the answer reports the rows actually evaluated.  [0, 1] evaluates
-  /// the whole grid and is then bit-identical to
+  /// [0, 1]; y_lo <= y_hi required).  The strip covers exactly the grid
+  /// rows whose cell centers it contains; the answer reports them.
+  /// [0, 1] evaluates the whole grid and is then bit-identical to
   /// `sim::evaluate_region_parallel` / `core::evaluate_region`.
   [[nodiscard]] RegionAnswer query_region(double y_lo, double y_hi);
 
   /// What-if edits.  Each rebuilds network + engine over the edited
   /// deployment, updates the digest from the touched camera lines on,
-  /// carries clean cache tiles forward, and returns the new digest.  An
+  /// clears the row slots the edit can reach, and returns the new digest.  An
   /// edit that throws leaves the session exactly as it was.
   /// \throws std::invalid_argument on an invalid camera or theta
   std::uint64_t add_camera(const core::Camera& cam);
@@ -217,21 +224,16 @@ class Session {
 
   /// The one edit path, in splice form: drop camera `index` when `erase`,
   /// put `added` there when set, serve under `theta`.  Stages the cameras
-  /// and digest lines, rebuilds, then commits (carrying clean tiles
-  /// forward) or rolls back and rethrows.
+  /// and digest lines, rebuilds, then commits (clearing the rows the edit
+  /// can reach) or rolls back and rethrows.
   std::uint64_t edit(std::size_t index, bool erase,
                      std::optional<core::Camera> added, double theta);
-  [[nodiscard]] TileKey key_for(std::size_t row_begin, std::size_t row_end) const;
-  /// True when `cam`'s sensing disk can reach any cell-center row of
-  /// [row_begin, row_end).
-  [[nodiscard]] bool disk_reaches_rows(const core::Camera& cam,
-                                       std::size_t row_begin,
-                                       std::size_t row_end) const;
+  /// True when `cam`'s sensing disk can reach the cell centers of `row`.
+  [[nodiscard]] bool disk_reaches_row(const core::Camera& cam, std::size_t row) const;
 
   std::vector<core::Camera> cameras_;
   double theta_;
   core::DenseGrid grid_;
-  std::size_t tile_rows_;
   std::size_t threads_;
   obs::MetricsNode* metrics_;
   obs::ProgressFn progress_;
@@ -240,7 +242,10 @@ class Session {
   std::unique_ptr<core::GridEvalEngine> engine_;
   DigestText text_;
   std::uint64_t digest_ = 0;
-  TileCache cache_;
+  /// One slot per grid row: row r's stats under the current cameras and
+  /// theta, or empty when an edit has invalidated it.
+  std::vector<std::optional<core::GridRowStats>> rows_;
+  RowCacheStats cache_stats_;
   /// Reused by `query_points` (the session is externally serialized, so
   /// one scratch suffices); engine rebuilds don't invalidate it — the
   /// buffers are sized on use.

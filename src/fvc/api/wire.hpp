@@ -27,7 +27,7 @@
 /// so served numbers are bit-identical to locally computed ones.
 ///
 /// `stats` is additive in fvc.query/1: its response carries the schema
-/// tag `fvc.serve_stats/1` (still a flat object) — a merged telemetry
+/// tag `fvc.serve_stats/2` (still a flat object) — a merged telemetry
 /// snapshot with uptime, per-request-type counts and latency
 /// percentiles, byte/error totals, cache counters and occupancy,
 /// watchdog stalls, and deltas since the previous `stats` request (each
@@ -52,7 +52,7 @@ namespace fvc::api {
 inline constexpr const char* kQuerySchema = "fvc.query/1";
 
 /// Schema tag of a `stats` verb response (see the file comment).
-inline constexpr const char* kServeStatsSchema = "fvc.serve_stats/1";
+inline constexpr const char* kServeStatsSchema = "fvc.serve_stats/2";
 
 /// Upper bound on a frame body; larger length prefixes are rejected.
 inline constexpr std::size_t kMaxFrameBytes = 1 << 20;

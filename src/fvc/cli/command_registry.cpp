@@ -164,8 +164,6 @@ const std::vector<CommandSpec>& command_table() {
         {"seed", "S", "1", "deployment RNG seed"},
         {"load", "FILE", "", "load the deployment from FILE"},
         {"grid-side", "M", "64", "region-query evaluation grid side"},
-        {"tile-rows", "K", "8", "grid rows per cached tile"},
-        {"cache-tiles", "C", "1024", "tile cache capacity (entries)"},
         {"metrics-every", "MS", "",
          "with --metrics: also flush the report atomically every MS ms"},
         {"prom", "FILE", "",
@@ -181,7 +179,7 @@ const std::vector<CommandSpec>& command_table() {
         {"count", "K", "", "stop after K refreshes (default: until Ctrl-C)"},
         {"once", "", "", "print a single snapshot and exit"},
         {"json", "", "",
-         "print the raw fvc.serve_stats/1 response instead of the table"}}},
+         "print the raw fvc.serve_stats/2 response instead of the table"}}},
   };
   return table;
 }

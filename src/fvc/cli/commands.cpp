@@ -600,8 +600,6 @@ int cmd_serve(CommandContext& ctx) {
   scfg.cameras.assign(net.cameras().begin(), net.cameras().end());
   scfg.theta = args.get_double("theta", geom::kHalfPi);
   scfg.grid_side = args.get_size("grid-side", 64);
-  scfg.tile_rows = args.get_size("tile-rows", 8);
-  scfg.cache_tiles = args.get_size("cache-tiles", 1024);
   scfg.metrics = ctx.metrics_child("session");
   scfg.progress = ctx.progress_fn();
   api::Session session(std::move(scfg));
@@ -622,7 +620,7 @@ int cmd_serve(CommandContext& ctx) {
   }
   if (!prom_path.empty()) {
     // Runs under the session mutex like every tick (see PeriodicTask), so
-    // it may refresh the tile-cache mirror first.
+    // it may refresh the row-cache mirror first.
     cfg.ticks.push_back({prom_every_ms, [&stats, &session, prom_path] {
                            stats.note_cache(api::cache_mirror_of(session));
                            // The export must not move a stats poller's
@@ -654,11 +652,10 @@ int cmd_serve(CommandContext& ctx) {
   t.add_row({"connections", std::to_string(report.connections)});
   t.add_row({"requests served", std::to_string(report.requests)});
   t.add_row({"error responses", std::to_string(report.errors)});
-  const api::TileCacheStats& cs = session.cache_stats();
-  t.add_row({"tile cache hits", std::to_string(cs.hits)});
-  t.add_row({"tile cache misses", std::to_string(cs.misses)});
-  t.add_row({"tile cache evictions", std::to_string(cs.evictions)});
-  t.add_row({"tiles carried across edits", std::to_string(cs.carried_forward)});
+  const api::RowCacheStats& cs = session.cache_stats();
+  t.add_row({"row cache hits", std::to_string(cs.hits)});
+  t.add_row({"row cache misses", std::to_string(cs.misses)});
+  t.add_row({"rows carried across edits", std::to_string(cs.carried_forward)});
   t.print(out);
   // The accept loop only exits on cancellation, so run_command's
   // cancelled && code == 0 path reports kExitCancelled (130) — the clean
@@ -762,9 +759,7 @@ int cmd_top(CommandContext& ctx) {
       out << "cache: hit rate "
           << fmt1(lookups > 0.0 ? 100.0 * hits / lookups : 0.0) << "% ("
           << static_cast<std::uint64_t>(hits) << " hits, "
-          << static_cast<std::uint64_t>(misses) << " misses, "
-          << static_cast<std::uint64_t>(api::get_number(obj, "cache_evictions"))
-          << " evictions)  tiles "
+          << static_cast<std::uint64_t>(misses) << " misses)  rows "
           << static_cast<std::uint64_t>(api::get_number(obj, "cache_tiles")) << "/"
           << static_cast<std::uint64_t>(api::get_number(obj, "cache_capacity"))
           << "  ~" << fmt1(api::get_number(obj, "cache_bytes") / 1024.0)

@@ -1199,18 +1199,6 @@ GridRowStats GridEvalEngine::row_stats(std::size_t row, GridEvalScratch& scratch
   return rs;
 }
 
-GridRowStats GridEvalEngine::block_stats(std::size_t row_begin, std::size_t row_end,
-                                         GridEvalScratch& scratch) const {
-  // Row-order fold, initialized from the first row: identical to the slice
-  // [row_begin, row_end) of the serial reduction in `evaluate`, so block
-  // partitions recombine bit-exactly.
-  GridRowStats acc;
-  for (std::size_t row = row_begin; row < row_end; ++row) {
-    fold_row_stats(acc, row_stats(row, scratch), row == row_begin);
-  }
-  return acc;
-}
-
 RegionCoverageStats GridEvalEngine::evaluate(GridEvalScratch& scratch) const {
   const obs::TraceScope scope("engine.evaluate", obs::TraceCategory::kEngine,
                               "points", grid_.size(), "kernel_lanes",

@@ -209,9 +209,9 @@ struct GridRowStats {
 /// One step of the row-order reduction: fold `next` into `acc` (a
 /// `GridRowStats` or `RegionCoverageStats`).  Counts add; the gap extremes
 /// are initialized by the `first` fold and min/max-ed after it.  Every
-/// reduction over rows or row tiles (the serial scan, `block_stats`, the
-/// parallel row scan, the serve tile fold) goes through this step in row
-/// order, so any partition of the rows recombines bit-exactly.
+/// reduction over rows (the serial scan, the parallel row scan, the serve
+/// row-slot fold) goes through this step in row order, so per-row results
+/// computed in any order recombine bit-exactly.
 template <class Acc>
 void fold_row_stats(Acc& acc, const GridRowStats& next, bool first) {
   acc.covered_1 += next.covered_1;
@@ -278,14 +278,6 @@ class GridEvalEngine {
 
   /// All predicates fused over one row.  \pre row < rows()
   [[nodiscard]] GridRowStats row_stats(std::size_t row, GridEvalScratch& scratch) const;
-
-  /// All predicates fused over the contiguous row block
-  /// [row_begin, row_end), reduced in row order — so folding the per-block
-  /// results of a partition of [0, rows()) in block order replays the
-  /// serial scan's reduction exactly (the serve layer's tile contract; see
-  /// api/session.hpp).  \pre row_begin < row_end <= rows()
-  [[nodiscard]] GridRowStats block_stats(std::size_t row_begin, std::size_t row_end,
-                                         GridEvalScratch& scratch) const;
 
   /// All predicates fused over the whole grid (serial row loop).
   /// Bit-identical to `evaluate_region_scalar`.

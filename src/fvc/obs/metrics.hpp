@@ -7,14 +7,13 @@
 /// estimators) fill in when a caller asks for metrics, and that the CLI
 /// exports as one schema-versioned JSON document per run (`--metrics`).
 ///
-/// Cost model: every recording site is gated on a pointer (or, for
-/// template call sites, on the compile-time-checked `NullSink` of
-/// sink.hpp), so a run without metrics pays one predictable branch per
-/// *batch* of work — never per candidate — and produces bit-identical
-/// results.  The primitives here have no internal synchronization; the
-/// engine idiom is per-worker (or per-row / per-trial slot) instances
-/// merged deterministically by the caller, exactly like the result slots
-/// of sim::parallel_for.
+/// Cost model: every recording site is gated on a metrics pointer, so a
+/// run without metrics pays one predictable branch per *batch* of work —
+/// never per candidate — and produces bit-identical results.  The
+/// primitives here have no internal synchronization; the engine idiom is
+/// per-worker (or per-row / per-trial slot) instances merged
+/// deterministically by the caller, exactly like the result slots of
+/// sim::parallel_for.
 
 #pragma once
 

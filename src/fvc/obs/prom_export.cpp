@@ -96,26 +96,24 @@ std::string to_prometheus(const ServeStatsSnapshot& snap) {
   }
 
   add_header(out, "fvc_serve_cache_events_total",
-             "Tile-cache events since start, by kind.", "counter");
+             "Row-cache events since start, by kind.", "counter");
   add_sample_u64(out, "fvc_serve_cache_events_total", "{event=\"hit\"}",
                  snap.cache.hits);
   add_sample_u64(out, "fvc_serve_cache_events_total", "{event=\"miss\"}",
                  snap.cache.misses);
-  add_sample_u64(out, "fvc_serve_cache_events_total", "{event=\"evict\"}",
-                 snap.cache.evictions);
   add_sample_u64(out, "fvc_serve_cache_events_total", "{event=\"carry\"}",
                  snap.cache.carried_forward);
 
-  add_header(out, "fvc_serve_cache_tiles", "Tile-cache entries resident.",
+  add_header(out, "fvc_serve_cache_tiles", "Grid rows with a valid cached slot.",
              "gauge");
   add_sample_u64(out, "fvc_serve_cache_tiles", "", snap.cache.tiles);
 
   add_header(out, "fvc_serve_cache_capacity_tiles",
-             "Tile-cache entry capacity.", "gauge");
+             "Row-cache capacity: the grid's row count.", "gauge");
   add_sample_u64(out, "fvc_serve_cache_capacity_tiles", "", snap.cache.capacity);
 
   add_header(out, "fvc_serve_cache_bytes",
-             "Approximate tile-cache resident bytes.", "gauge");
+             "Bytes of the row-cache slot array.", "gauge");
   add_sample_u64(out, "fvc_serve_cache_bytes", "", snap.cache.bytes);
 
   add_header(out, "fvc_serve_watchdog_stalls_total",

@@ -8,7 +8,7 @@
 /// textfile collector or any scraper tailing the path always reads a
 /// complete document.
 ///
-/// Name mapping from `fvc.serve_stats/1` (see ARCHITECTURE.md):
+/// Name mapping from `fvc.serve_stats/2` (see ARCHITECTURE.md):
 ///   fvc_serve_uptime_seconds                     gauge
 ///   fvc_serve_connections_total                  counter
 ///   fvc_serve_connections_active                 gauge
@@ -17,8 +17,9 @@
 ///   fvc_serve_errors_total                       counter
 ///   fvc_serve_bytes_total{direction="in"|"out"}  counter
 ///   fvc_serve_request_latency_microseconds{type,quantile}  gauge
-///   fvc_serve_cache_events_total{event=...}      counter
+///   fvc_serve_cache_events_total{event=hit|miss|carry}  counter
 ///   fvc_serve_cache_tiles / _cache_capacity_tiles / _cache_bytes  gauge
+///     (row slots: a "tile" is one grid row)
 ///   fvc_serve_watchdog_stalls_total              counter
 /// Quantile samples are emitted only for types that have seen traffic
 /// (an all-zero quantile for an idle type would read as "instant").

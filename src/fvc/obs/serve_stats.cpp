@@ -63,11 +63,10 @@ void ServeStats::set_stall_source(std::function<std::uint64_t()> source) {
 void ServeStats::note_cache(const CacheMirror& cache) {
   cache_mirror_[0].store(cache.hits, std::memory_order_relaxed);
   cache_mirror_[1].store(cache.misses, std::memory_order_relaxed);
-  cache_mirror_[2].store(cache.evictions, std::memory_order_relaxed);
-  cache_mirror_[3].store(cache.carried_forward, std::memory_order_relaxed);
-  cache_mirror_[4].store(cache.tiles, std::memory_order_relaxed);
-  cache_mirror_[5].store(cache.capacity, std::memory_order_relaxed);
-  cache_mirror_[6].store(cache.bytes, std::memory_order_relaxed);
+  cache_mirror_[2].store(cache.carried_forward, std::memory_order_relaxed);
+  cache_mirror_[3].store(cache.tiles, std::memory_order_relaxed);
+  cache_mirror_[4].store(cache.capacity, std::memory_order_relaxed);
+  cache_mirror_[5].store(cache.bytes, std::memory_order_relaxed);
 }
 
 void ServeStats::note_batch(std::uint64_t requests, std::uint64_t points) {
@@ -89,11 +88,10 @@ ServeStatsSnapshot ServeStats::snapshot(bool advance_baseline) {
   snap.in_flight = in_flight_.load(std::memory_order_relaxed);
   snap.cache.hits = cache_mirror_[0].load(std::memory_order_relaxed);
   snap.cache.misses = cache_mirror_[1].load(std::memory_order_relaxed);
-  snap.cache.evictions = cache_mirror_[2].load(std::memory_order_relaxed);
-  snap.cache.carried_forward = cache_mirror_[3].load(std::memory_order_relaxed);
-  snap.cache.tiles = cache_mirror_[4].load(std::memory_order_relaxed);
-  snap.cache.capacity = cache_mirror_[5].load(std::memory_order_relaxed);
-  snap.cache.bytes = cache_mirror_[6].load(std::memory_order_relaxed);
+  snap.cache.carried_forward = cache_mirror_[2].load(std::memory_order_relaxed);
+  snap.cache.tiles = cache_mirror_[3].load(std::memory_order_relaxed);
+  snap.cache.capacity = cache_mirror_[4].load(std::memory_order_relaxed);
+  snap.cache.bytes = cache_mirror_[5].load(std::memory_order_relaxed);
   if (stall_source_) {
     snap.stalls = stall_source_();
   }

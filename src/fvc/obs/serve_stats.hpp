@@ -21,7 +21,7 @@
 ///     are no mixed-word reads (all fields are single 64-bit atomics).
 ///
 /// The cache counters are a *mirror*: `api::Session` (a layer above
-/// obs) is not thread-safe, so the serve loop republishes the tile-cache
+/// obs) is not thread-safe, so the serve loop republishes the row-cache
 /// stats into plain atomics here after each request, while it still
 /// holds the session mutex.  Exporters then read the mirror without
 /// touching the session.
@@ -59,15 +59,14 @@ inline constexpr std::size_t kReqTypeCount = 7;
 /// NUL-terminated literal, safe for printf-family formatting.
 [[nodiscard]] const char* req_type_name(ReqType type);
 
-/// Tile-cache counters republished into the registry's atomic mirror.
+/// Row-cache counters republished into the registry's atomic mirror.
 struct CacheMirror {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t carried_forward = 0;
-  std::uint64_t tiles = 0;     ///< entries resident
-  std::uint64_t capacity = 0;  ///< entry capacity
-  std::uint64_t bytes = 0;     ///< approximate resident bytes
+  std::uint64_t hits = 0;             ///< rows answered from their slot
+  std::uint64_t misses = 0;           ///< rows evaluated by the engine
+  std::uint64_t carried_forward = 0;  ///< valid rows kept across edits
+  std::uint64_t tiles = 0;     ///< rows whose slot is valid
+  std::uint64_t capacity = 0;  ///< grid rows (one slot each)
+  std::uint64_t bytes = 0;     ///< bytes of the slot array
 };
 
 /// One merged, internally-consistent view of the registry.
@@ -166,7 +165,7 @@ class ServeStats {
   /// Call before serving; the snapshot invokes it when set.
   void set_stall_source(std::function<std::uint64_t()> source);
 
-  /// Republish tile-cache counters into the atomic mirror.  Called by
+  /// Republish row-cache counters into the atomic mirror.  Called by
   /// the serve loop while it holds the session mutex; exporters read
   /// the mirror lock-free.
   void note_cache(const CacheMirror& cache);
@@ -195,7 +194,7 @@ class ServeStats {
   std::atomic<std::uint64_t> connections_active_{0};
   std::atomic<std::uint64_t> in_flight_{0};
 
-  std::array<std::atomic<std::uint64_t>, 7> cache_mirror_{};
+  std::array<std::atomic<std::uint64_t>, 6> cache_mirror_{};
 
   std::atomic<std::uint64_t> batched_requests_{0};
   std::atomic<std::uint64_t> batch_rounds_{0};

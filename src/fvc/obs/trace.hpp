@@ -11,7 +11,7 @@
 /// renders as Chrome-trace JSON (loadable in Perfetto or
 /// chrome://tracing).
 ///
-/// Cost model, mirroring the sink model of sink.hpp:
+/// Cost model, mirroring the pointer-gated metrics of metrics.hpp:
 ///
 /// * **Compiled out** (`FVC_TRACE_DISABLED`, set by `-DFVC_TRACING=OFF`):
 ///   every emit function and `TraceScope` below is an empty inline stub,
@@ -229,7 +229,7 @@ void emit(const char* name, TraceCategory category, TracePhase phase,
 
 #if !defined(FVC_TRACE_DISABLED)
 
-/// Compile-time gate, the tracing counterpart of NullSink::kEnabled.
+/// Compile-time gate: false when tracing is compiled out.
 inline constexpr bool kTraceEnabled = true;
 
 /// True when a session is installed — the one branch a disabled-at-

@@ -4,7 +4,7 @@
 /// Workers claim one index at a time from a shared atomic cursor: one
 /// callback invocation, one metrics clock pair and one trace slice per
 /// index.  Every workload this repository schedules — Monte-Carlo trials,
-/// grid rows, serve tiles — costs far more per index than one atomic
+/// grid rows, serve row slots — costs far more per index than one atomic
 /// claim, and costs vary between indices (early exits, clustered
 /// fleets), so the finest claim is also the one that balances best
 /// (measurements in docs/ARCHITECTURE.md, "One-index claiming").  Indices

@@ -1,13 +1,14 @@
-/// Session facade tests: what-if edit -> scoped invalidation -> re-query
-/// matches a fresh build bit-exactly; LRU eviction accounting; digest
-/// changes on every edit (and round-trips with content); the incremental
-/// digest equals the from-scratch one after every edit, rejected ones
-/// included.
+/// Session facade tests: what-if edit -> row-scoped invalidation ->
+/// re-query matches a fresh build bit-exactly and recomputes exactly the
+/// rows the edit can reach; digest changes on every edit (and round-trips
+/// with content); the incremental digest equals the from-scratch one
+/// after every edit, rejected ones included.
 
 #include "fvc/api/session.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -15,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "fvc/api/tile_cache.hpp"
 #include "fvc/core/full_view.hpp"
 #include "fvc/core/region_coverage.hpp"
 #include "fvc/deploy/uniform.hpp"
@@ -29,7 +29,6 @@ namespace {
 
 constexpr double kTheta = geom::kHalfPi;
 constexpr std::size_t kSide = 32;
-constexpr std::size_t kTileRows = 8;  // 4 tiles over 32 rows
 
 std::vector<core::Camera> test_cameras(std::size_t n = 60, std::size_t seed = 7) {
   const auto profile = core::HeterogeneousProfile::homogeneous(0.2, 2.0);
@@ -39,14 +38,11 @@ std::vector<core::Camera> test_cameras(std::size_t n = 60, std::size_t seed = 7)
 }
 
 api::Session make_session(std::vector<core::Camera> cameras,
-                          double theta = kTheta,
-                          std::size_t cache_tiles = 1024) {
+                          double theta = kTheta) {
   api::SessionConfig cfg;
   cfg.cameras = std::move(cameras);
   cfg.theta = theta;
   cfg.grid_side = kSide;
-  cfg.tile_rows = kTileRows;
-  cfg.cache_tiles = cache_tiles;
   cfg.threads = 3;
   return api::Session(std::move(cfg));
 }
@@ -65,8 +61,10 @@ void expect_same_stats(const core::RegionCoverageStats& a,
 }
 
 /// The served region answer must equal a *fresh* session's answer over the
-/// same strip — the "cold rebuild" a one-shot CLI run would do.
-void expect_matches_fresh(api::Session& session, double y_lo, double y_hi) {
+/// same strip — the "cold rebuild" a one-shot CLI run would do.  Returns
+/// the served answer.
+api::RegionAnswer expect_matches_fresh(api::Session& session, double y_lo,
+                                       double y_hi) {
   api::Session fresh = make_session(
       [&] {
         std::vector<core::Camera> cams;
@@ -81,7 +79,17 @@ void expect_matches_fresh(api::Session& session, double y_lo, double y_hi) {
   const api::RegionAnswer want = fresh.query_region(y_lo, y_hi);
   EXPECT_EQ(got.row_begin, want.row_begin);
   EXPECT_EQ(got.row_end, want.row_end);
+  EXPECT_EQ(got.tiles_total, want.tiles_total);
   expect_same_stats(got.stats, want.stats);
+  return got;
+}
+
+/// True when `cam`'s sensing disk reaches the cell centers of grid row
+/// `row` in torus y-distance — the rows an edit of `cam` must recompute.
+bool disk_reaches_row(const core::Camera& cam, std::size_t row) {
+  const double y = (static_cast<double>(row) + 0.5) / kSide;
+  const double d = std::fabs(cam.position.y - y);
+  return std::min(d, 1.0 - d) <= cam.radius;
 }
 
 TEST(ApiSession, PointQueryRunsTheScalarOracles) {
@@ -109,24 +117,30 @@ TEST(ApiSession, WholeGridQueryMatchesOneShotEvaluation) {
   const api::RegionAnswer got = session.query_region(0.0, 1.0);
   EXPECT_EQ(got.row_begin, 0u);
   EXPECT_EQ(got.row_end, kSide);
-  EXPECT_EQ(got.tiles_total, kSide / kTileRows);
-  EXPECT_EQ(got.tiles_computed, kSide / kTileRows);
+  EXPECT_EQ(got.tiles_total, kSide);
+  EXPECT_EQ(got.tiles_computed, kSide);
   expect_same_stats(got.stats, want);
-  // Re-query: answered entirely from the cache, still bit-identical.
+  // Re-query: answered entirely from the row slots, still bit-identical.
   const api::RegionAnswer again = session.query_region(0.0, 1.0);
-  EXPECT_EQ(again.tiles_cached, kSide / kTileRows);
+  EXPECT_EQ(again.tiles_cached, kSide);
   EXPECT_EQ(again.tiles_computed, 0u);
   expect_same_stats(again.stats, want);
 }
 
+// A "tile" is one grid row now (the `tiles_*` counts keep their wire
+// names), so the whole tiles a strip resolves to are exactly its rows.
 TEST(ApiSession, StripWidensToWholeTilesAndReportsRows) {
   api::Session session = make_session(test_cameras());
-  // Rows with centers in [0.3, 0.55]: rows 10..17 -> tiles [8, 24).
+  // Rows with centers in [0.3, 0.55]: rows 10..17, nothing more.
   const api::RegionAnswer ans = session.query_region(0.3, 0.55);
-  EXPECT_EQ(ans.row_begin, 8u);
-  EXPECT_EQ(ans.row_end, 24u);
-  EXPECT_EQ(ans.tiles_total, 2u);
-  EXPECT_EQ(ans.stats.total_points, (24u - 8u) * kSide);
+  EXPECT_EQ(ans.row_begin, 10u);
+  EXPECT_EQ(ans.row_end, 18u);
+  EXPECT_EQ(ans.tiles_total, 8u);
+  EXPECT_EQ(ans.tiles_computed, 8u);
+  EXPECT_EQ(ans.stats.total_points, (18u - 10u) * kSide);
+  // Only the band's rows were filled: a neighbouring row still computes.
+  EXPECT_EQ(session.cached_rows(), 8u);
+  EXPECT_EQ(session.query_region(0.3, 0.6).tiles_computed, 1u);
   expect_matches_fresh(session, 0.3, 0.55);
 }
 
@@ -309,61 +323,180 @@ TEST(ApiSession, WhatIfEditsRequeryBitIdenticalToFreshBuild) {
   expect_matches_fresh(session, 0.4, 0.6);
 }
 
+// Tiles are single grid rows: an edit clears exactly the rows it reaches.
 TEST(ApiSession, InvalidationIsScopedToTilesTheEditCanReach) {
   api::Session session = make_session(test_cameras());
-  (void)session.query_region(0.0, 1.0);  // 4 tiles cached
+  (void)session.query_region(0.0, 1.0);  // all 32 rows cached
 
   // A small camera near the top of the unit square: its disk (r = 0.05
-  // around y = 0.125) reaches only tile 0 (rows 0-7, centers < 0.25).
+  // around y = 0.125) reaches the rows with centers in [0.075, 0.175],
+  // rows 2-5.
   core::Camera local;
   local.position = {0.5, 0.125};
   local.radius = 0.05;
   local.fov = 2.0;
   (void)session.add_camera(local);
-  EXPECT_EQ(session.cache().stats().carried_forward, 3u);
+  EXPECT_EQ(session.cache_stats().carried_forward, 28u);
+  EXPECT_EQ(session.cached_rows(), 28u);
 
   const api::RegionAnswer ans = session.query_region(0.0, 1.0);
-  EXPECT_EQ(ans.tiles_cached, 3u);    // carried clean tiles hit
-  EXPECT_EQ(ans.tiles_computed, 1u);  // only the dirty tile re-evaluated
+  EXPECT_EQ(ans.tiles_cached, 28u);   // kept rows hit
+  EXPECT_EQ(ans.tiles_computed, 4u);  // only the dirty rows re-evaluated
   expect_matches_fresh(session, 0.0, 1.0);
 
-  // theta edits dirty nothing (theta is part of the tile key): all four
-  // tiles carry forward, and the old-theta entries hit again on revert.
-  const std::uint64_t carried_before = session.cache().stats().carried_forward;
+  // Next to the torus seam: a disk around y = 0.01 reaches rows 0-1
+  // (centers <= 0.06) and, across the seam, row 31 (center 0.984); row 30
+  // (center 0.953) is 0.057 away.
+  core::Camera seam = local;
+  seam.position = {0.25, 0.01};
+  (void)session.add_camera(seam);
+  EXPECT_EQ(session.cached_rows(), 29u);
+  EXPECT_EQ(session.query_region(0.9, 1.0).tiles_computed, 1u);  // row 31
+  EXPECT_EQ(session.query_region(0.0, 0.1).tiles_computed, 2u);  // rows 0, 1
+  expect_matches_fresh(session, 0.0, 1.0);
+
+  // A theta edit clears every row, and so does reverting it.
+  const std::uint64_t carried_before = session.cache_stats().carried_forward;
   (void)session.set_theta(geom::kPi / 2.5);
-  EXPECT_EQ(session.cache().stats().carried_forward, carried_before + 4u);
+  EXPECT_EQ(session.cache_stats().carried_forward, carried_before);
+  EXPECT_EQ(session.cached_rows(), 0u);
+  EXPECT_EQ(session.query_region(0.0, 1.0).tiles_computed, kSide);
   (void)session.set_theta(kTheta);
   const api::RegionAnswer revert = session.query_region(0.0, 1.0);
-  EXPECT_EQ(revert.tiles_cached, 4u);
-  EXPECT_EQ(revert.tiles_computed, 0u);
+  EXPECT_EQ(revert.tiles_cached, 0u);
+  EXPECT_EQ(revert.tiles_computed, kSide);
+  expect_matches_fresh(session, 0.0, 1.0);
 }
 
-TEST(ApiSession, LruEvictionAccounting) {
-  // Capacity 2 under a 4-tile grid: the whole-grid query must evict.
-  api::Session session = make_session(test_cameras(), kTheta, 2);
-  const core::Network net(test_cameras());
-  const core::DenseGrid grid(kSide);
-  const core::RegionCoverageStats want = core::evaluate_region(net, grid, kTheta);
+/// The row cache against a fresh session over a seeded edit sequence:
+/// adds, removes, moves and theta changes, rejected edits, and a camera
+/// whose radius (>= 0.5) reaches every row.  After each edit a random
+/// strip must match a fresh session bit for bit (a whole-grid strip must
+/// also match core::evaluate_region) and must recompute exactly the rows
+/// of the band that no query has filled since an edit could reach them.
+TEST(ApiSession, RowCacheMatchesFreshSessionOverSeededEdits) {
+  api::Session session = make_session(test_cameras(40));
+  stats::Pcg32 rng(515);
+  const auto random_camera = [&] {
+    core::Camera cam;
+    cam.position = {stats::uniform01(rng), stats::uniform01(rng)};
+    cam.orientation = stats::uniform_in(rng, 0.0, geom::kTwoPi);
+    cam.radius = stats::uniform_in(rng, 0.02, 0.3);
+    cam.fov = stats::uniform_in(rng, 0.5, 3.0);
+    cam.group = stats::uniform_below(rng, 3);
+    return cam;
+  };
+  core::Camera invalid = random_camera();
+  invalid.radius = -0.1;
+  // The test's model of the slots: valid[r] while row r holds a value.
+  std::vector<bool> valid(kSide, false);
+  const auto touch = [&](const core::Camera& cam) {
+    for (std::size_t row = 0; row < kSide; ++row) {
+      if (disk_reaches_row(cam, row)) {
+        valid[row] = false;
+      }
+    }
+  };
+  std::size_t whole_grid_checks = 0;
+  for (int step = 0; step < 100; ++step) {
+    const std::size_t n = session.camera_count();
+    const std::uint64_t before = session.digest();
+    switch (stats::uniform_below(rng, 7)) {
+      case 0: {
+        const core::Camera cam = random_camera();
+        (void)session.add_camera(cam);
+        touch(cam);
+        break;
+      }
+      case 1: {
+        const std::size_t i = stats::uniform_below(rng, static_cast<std::uint32_t>(n));
+        const core::Camera gone = session.camera(i);
+        (void)session.remove_camera(i);
+        touch(gone);
+        break;
+      }
+      case 2: {
+        const std::size_t i = stats::uniform_below(rng, static_cast<std::uint32_t>(n));
+        const core::Camera gone = session.camera(i);
+        const core::Camera cam = random_camera();
+        (void)session.move_camera(i, cam);
+        touch(gone);
+        touch(cam);
+        break;
+      }
+      case 3: {
+        const double theta = stats::uniform_below(rng, 2) == 0
+                                 ? session.theta()  // same bits: nothing clears
+                                 : stats::uniform_in(rng, 0.3, geom::kPi);
+        if (theta != session.theta()) {
+          std::fill(valid.begin(), valid.end(), false);
+        }
+        (void)session.set_theta(theta);
+        break;
+      }
+      case 4: {
+        // A wide camera reaches every row (torus y-distance <= 0.5).
+        core::Camera wide = random_camera();
+        wide.radius = stats::uniform_in(rng, 0.5, 0.7);
+        (void)session.add_camera(wide);
+        touch(wide);
+        EXPECT_TRUE(std::none_of(valid.begin(), valid.end(), [](bool v) { return v; }));
+        break;
+      }
+      default: {
+        // Rejected edits change nothing: no slot is cleared.
+        const std::size_t i = stats::uniform_below(rng, static_cast<std::uint32_t>(n));
+        EXPECT_THROW((void)session.add_camera(invalid), std::invalid_argument);
+        EXPECT_THROW((void)session.move_camera(i, invalid), std::invalid_argument);
+        EXPECT_THROW((void)session.set_theta(-1.0), std::invalid_argument);
+        EXPECT_EQ(session.digest(), before);
+        break;
+      }
+    }
+    if (session.camera_count() < 8) {
+      const core::Camera cam = random_camera();
+      (void)session.add_camera(cam);
+      touch(cam);
+    }
+    const std::size_t cached =
+        static_cast<std::size_t>(std::count(valid.begin(), valid.end(), true));
+    EXPECT_EQ(session.cached_rows(), cached) << "step " << step;
 
-  const api::RegionAnswer first = session.query_region(0.0, 1.0);
-  expect_same_stats(first.stats, want);
-  const api::TileCacheStats& cs = session.cache().stats();
-  EXPECT_EQ(cs.misses, 4u);
-  EXPECT_EQ(cs.hits, 0u);
-  EXPECT_EQ(cs.evictions, 2u);  // tiles 0 and 1 displaced by 2 and 3
-  EXPECT_EQ(session.cache().size(), 2u);
-  EXPECT_EQ(session.cache().capacity(), 2u);
-
-  // The last two tiles (rows 16-31) survived; querying them is all hits.
-  const api::RegionAnswer tail = session.query_region(0.55, 1.0);
-  EXPECT_EQ(tail.tiles_cached, 2u);
-  EXPECT_EQ(tail.tiles_computed, 0u);
-  EXPECT_EQ(cs.hits, 2u);
-
-  // A full re-query recomputes the evicted half yet folds identically.
-  const api::RegionAnswer again = session.query_region(0.0, 1.0);
-  EXPECT_EQ(again.tiles_computed, 2u);
-  expect_same_stats(again.stats, want);
+    double y_lo = 0.0;
+    double y_hi = 1.0;
+    if (stats::uniform_below(rng, 5) != 0) {
+      y_lo = stats::uniform01(rng);
+      y_hi = stats::uniform01(rng);
+      if (y_hi < y_lo) {
+        std::swap(y_lo, y_hi);
+      }
+    }
+    std::size_t want_computed = 0;
+    std::size_t want_total = 0;
+    for (std::size_t row = 0; row < kSide; ++row) {
+      const double y = (static_cast<double>(row) + 0.5) / kSide;
+      if (y_lo <= y && y <= y_hi) {
+        ++want_total;
+        want_computed += valid[row] ? 0 : 1;
+        valid[row] = true;
+      }
+    }
+    const api::RegionAnswer got = expect_matches_fresh(session, y_lo, y_hi);
+    EXPECT_EQ(got.tiles_total, want_total) << "step " << step;
+    EXPECT_EQ(got.tiles_computed, want_computed) << "step " << step;
+    EXPECT_EQ(got.tiles_cached, want_total - want_computed) << "step " << step;
+    if (y_lo == 0.0 && y_hi == 1.0) {
+      ++whole_grid_checks;
+      std::vector<core::Camera> cams;
+      for (std::size_t i = 0; i < session.camera_count(); ++i) {
+        cams.push_back(session.camera(i));
+      }
+      const core::RegionCoverageStats want = core::evaluate_region(
+          core::Network(cams), core::DenseGrid(kSide), session.theta());
+      expect_same_stats(got.stats, want);
+    }
+  }
+  EXPECT_GT(whole_grid_checks, 0u);
 }
 
 TEST(ApiSession, ConstructionAndQueryValidation) {
@@ -373,7 +506,7 @@ TEST(ApiSession, ConstructionAndQueryValidation) {
   {
     api::SessionConfig cfg;
     cfg.cameras = test_cameras();
-    cfg.tile_rows = 0;
+    cfg.grid_side = 0;
     EXPECT_THROW(api::Session{std::move(cfg)}, std::invalid_argument);
   }
   api::Session session = make_session(test_cameras());
@@ -405,78 +538,6 @@ TEST(ApiSession, ConstructionAndQueryValidation) {
   out[0].covering_count = 777;
   EXPECT_THROW(session.query_points(xs, ys, 2, out), api::PointDomainError);
   EXPECT_EQ(out[0].covering_count, 777u);
-}
-
-TEST(TileCache, LookupInsertEvictAndClear) {
-  api::TileCache cache(2);
-  EXPECT_THROW(api::TileCache{0}, std::invalid_argument);
-
-  const auto key = [](std::uint32_t row) {
-    api::TileKey k;
-    k.digest = 1;
-    k.theta_bits = 2;
-    k.k = 3;
-    k.row_begin = row;
-    k.row_end = row + 8;
-    return k;
-  };
-  core::GridRowStats value;
-  value.covered_1 = 11;
-  core::GridRowStats out;
-  EXPECT_FALSE(cache.lookup(key(0), out));
-  cache.insert(key(0), value);
-  value.covered_1 = 22;
-  cache.insert(key(8), value);
-  ASSERT_TRUE(cache.lookup(key(0), out));  // refreshes 0: LRU is now 8
-  EXPECT_EQ(out.covered_1, 11u);
-  value.covered_1 = 33;
-  cache.insert(key(16), value);  // evicts 8, not the refreshed 0
-  EXPECT_FALSE(cache.lookup(key(8), out));
-  ASSERT_TRUE(cache.lookup(key(0), out));
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.stats().hits, 2u);
-  EXPECT_EQ(cache.stats().misses, 2u);
-
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.capacity(), 2u);
-  EXPECT_FALSE(cache.lookup(key(0), out));
-}
-
-TEST(TileCache, CarryForwardReKeysKeptTilesAndDropsDirtyOnes) {
-  api::TileCache cache(8);
-  api::TileKey k0;
-  k0.digest = 10;
-  k0.theta_bits = 77;
-  k0.row_begin = 0;
-  k0.row_end = 8;
-  api::TileKey k1 = k0;
-  k1.row_begin = 8;
-  k1.row_end = 16;
-  api::TileKey other = k0;  // different digest: untouched by the carry
-  other.digest = 99;
-  core::GridRowStats value;
-  value.full_view_ok = 5;
-  cache.insert(k0, value);
-  cache.insert(k1, value);
-  cache.insert(other, value);
-
-  const std::size_t carried = cache.carry_forward(
-      10, 20, [](std::size_t row_begin, std::size_t) { return row_begin >= 8; });
-  EXPECT_EQ(carried, 1u);
-  EXPECT_EQ(cache.stats().carried_forward, 1u);
-  EXPECT_EQ(cache.size(), 2u);  // k0 dropped, k1 re-keyed, `other` kept
-
-  core::GridRowStats out;
-  api::TileKey k1_new = k1;
-  k1_new.digest = 20;
-  EXPECT_TRUE(cache.lookup(k1_new, out));
-  EXPECT_EQ(out.full_view_ok, 5u);
-  EXPECT_FALSE(cache.lookup(k1, out));    // old key gone
-  EXPECT_FALSE(cache.lookup(k0, out));    // dirty tile gone
-  EXPECT_TRUE(cache.lookup(other, out));  // foreign digest untouched
-  // Dropping a dirty tile is invalidation, not displacement.
-  EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
 }  // namespace

@@ -59,22 +59,30 @@ api::SessionConfig lattice_config() {
   cfg.cameras = lattice_deployment();
   cfg.theta = geom::kHalfPi;
   cfg.grid_side = 16;
-  cfg.tile_rows = 4;
   cfg.threads = 2;
   return cfg;
 }
 
-/// The lattice deployment on a 512^2 grid with a one-tile cache: every
-/// whole-grid `region` recomputes all 32 tiles, so it holds the session
-/// mutex long enough for point waiters to pile up behind it.
+/// The lattice deployment plus one wide camera (index 25, radius 0.5, so
+/// its disk reaches every grid row) on a 512^2 grid.  A lock-holding
+/// client sends `kClearEveryRow` before each whole-grid `region`: the
+/// no-op move of the wide camera clears every row slot without changing
+/// any answer, so each region recomputes all 512 rows and holds the
+/// session mutex long enough for point waiters to pile up behind it.
 api::SessionConfig lock_holder_config() {
   api::SessionConfig cfg = lattice_config();
   cfg.grid_side = 512;
-  cfg.tile_rows = 16;
-  cfg.cache_tiles = 1;
+  core::Camera wide;
+  wide.position = {0.5, 0.5};
+  wide.orientation = 0.25;
+  wide.radius = 0.5;
+  wide.fov = 1.0;
+  cfg.cameras.push_back(wide);
   return cfg;
 }
 
+constexpr const char* kClearEveryRow =
+    "{\"op\":\"what_if\",\"action\":\"move\",\"index\":25}";
 constexpr const char* kWholeGridRegion =
     "{\"op\":\"region\",\"y_lo\":0,\"y_hi\":1}";
 
@@ -375,8 +383,10 @@ TEST(BatchServe, ConcurrentAnswersAreBitIdenticalToUnbatched) {
 /// The fixed 256-point round budget still answers everything, bit for
 /// bit: arrays bigger than the budget run alone (the head waiter is taken
 /// whole), and 100-point arrays split across rounds (three never fit one
-/// round) without starving.  A client looping whole-grid regions holds
-/// the session mutex so waiters pile up behind it.
+/// round) without starving.  A client looping row-clearing moves and
+/// whole-grid regions holds the session mutex so waiters pile up behind
+/// it; the moves change no answer, so every point still matches a fresh
+/// session.
 TEST(BatchServe, TinyBatchBudgetStillAnswersEverything) {
   static_assert(api::PointBatcher::kMaxRoundPoints == 256);
   api::Session session(lock_holder_config());
@@ -401,6 +411,7 @@ TEST(BatchServe, TinyBatchBudgetStillAnswersEverything) {
   std::thread holder([&] {
     api::Client client = connect_with_retry(daemon.path());
     while (!points_done.load()) {
+      EXPECT_EQ(client.request(kClearEveryRow).rfind("{\"ok\":true", 0), 0u);
       EXPECT_EQ(client.request(kWholeGridRegion).rfind("{\"ok\":true", 0), 0u);
     }
   });
@@ -444,8 +455,8 @@ TEST(BatchServe, TinyBatchBudgetStillAnswersEverything) {
 
 /// Draining mid-batch flushes every in-flight waiter with an answer —
 /// a client never sees EOF in place of a response it was owed.  A client
-/// looping whole-grid regions holds the session mutex, so point waiters
-/// are queued in the batcher when the drain lands.
+/// looping row-clearing moves and whole-grid regions holds the session
+/// mutex, so point waiters are queued in the batcher when the drain lands.
 TEST(BatchServe, DrainMidBatchFlushesWaitersWithAnswers) {
   api::Session session(lock_holder_config());
   auto daemon = std::make_unique<BatchServeFixture>(session, "batch_drain");
@@ -455,12 +466,13 @@ TEST(BatchServe, DrainMidBatchFlushesWaitersWithAnswers) {
   for (int c = 0; c < 5; ++c) {
     workers.emplace_back([&, c] {
       api::Client client = connect_with_retry(daemon->path());
-      const std::string body =
-          c == 0 ? std::string(kWholeGridRegion) : point_request(0.1 + 0.1 * c, 0.3);
-      while (!stop.load(std::memory_order_relaxed)) {
+      const std::vector<std::string> bodies =
+          c == 0 ? std::vector<std::string>{kClearEveryRow, kWholeGridRegion}
+                 : std::vector<std::string>{point_request(0.1 + 0.1 * c, 0.3)};
+      for (std::size_t k = 0; !stop.load(std::memory_order_relaxed); ++k) {
         std::optional<std::string> reply;
         try {
-          reply = client.try_request(body);
+          reply = client.try_request(bodies[k % bodies.size()]);
         } catch (const std::exception&) {
           break;  // write raced the close: the request never got in
         }

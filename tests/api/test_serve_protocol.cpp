@@ -48,7 +48,6 @@ api::Session tiny_session() {
   cfg.cameras = tiny_deployment();
   cfg.theta = geom::kHalfPi;
   cfg.grid_side = 16;
-  cfg.tile_rows = 4;
   cfg.threads = 2;
   return api::Session(std::move(cfg));
 }
@@ -238,7 +237,9 @@ TEST(ServeProtocol, InfoAndWhatIfTranscriptsTrackTheSession) {
   EXPECT_EQ(api::get_number(info, "cameras"), 2.0);
   EXPECT_EQ(api::get_number(info, "theta"), geom::kHalfPi);
   EXPECT_EQ(api::get_number(info, "grid_side"), 16.0);
-  EXPECT_EQ(api::get_number(info, "tile_rows"), 4.0);
+  EXPECT_EQ(info.count("tile_rows"), 0u);
+  EXPECT_EQ(info.count("cache_evictions"), 0u);
+  EXPECT_EQ(api::get_number(info, "cache_capacity"), 16.0);  // one slot per row
 
   const api::WireObject added = api::parse_flat_object(api::handle_query(
       session,

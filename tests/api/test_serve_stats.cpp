@@ -1,4 +1,4 @@
-/// fvc.serve_stats/1 telemetry tests: LogHistogram percentile math,
+/// fvc.serve_stats/2 telemetry tests: LogHistogram percentile math,
 /// recorder/snapshot/delta accounting, the golden `stats` verb schema
 /// through `handle_query`, Prometheus text export, and a concurrent
 /// round where four clients mutate while a fifth polls `stats`.
@@ -50,7 +50,6 @@ api::Session tiny_session() {
   cfg.cameras = tiny_deployment();
   cfg.theta = geom::kHalfPi;
   cfg.grid_side = 16;
-  cfg.tile_rows = 4;
   cfg.threads = 2;
   return api::Session(std::move(cfg));
 }
@@ -249,7 +248,6 @@ TEST(ServeStats, GaugesMirrorAndStallSource) {
   obs::CacheMirror mirror;
   mirror.hits = 11;
   mirror.misses = 4;
-  mirror.evictions = 2;
   mirror.carried_forward = 1;
   mirror.tiles = 3;
   mirror.capacity = 8;
@@ -261,7 +259,6 @@ TEST(ServeStats, GaugesMirrorAndStallSource) {
   EXPECT_EQ(snap.stalls, 7u);
   EXPECT_EQ(snap.cache.hits, 11u);
   EXPECT_EQ(snap.cache.misses, 4u);
-  EXPECT_EQ(snap.cache.evictions, 2u);
   EXPECT_EQ(snap.cache.carried_forward, 1u);
   EXPECT_EQ(snap.cache.tiles, 3u);
   EXPECT_EQ(snap.cache.capacity, 8u);
@@ -313,15 +310,15 @@ TEST(ServeStatsVerb, GoldenSchemaFields) {
       api::handle_query(session, "{\"op\":\"stats\"}", &stats));
   EXPECT_TRUE(api::get_bool(snap, "ok"));
   EXPECT_EQ(api::get_string(snap, "schema"), api::kServeStatsSchema);
-  EXPECT_EQ(api::get_string(snap, "schema"), "fvc.serve_stats/1");
+  EXPECT_EQ(api::get_string(snap, "schema"), "fvc.serve_stats/2");
   EXPECT_EQ(api::get_string(snap, "digest"), session.digest_hex());
 
-  // Every fvc.serve_stats/1 field is present — a poller may index
+  // Every fvc.serve_stats/2 field is present — a poller may index
   // unconditionally.
   for (const char* field :
        {"uptime_ms", "connections_total", "connections_active", "in_flight",
         "requests_total", "errors_total", "bytes_in", "bytes_out",
-        "cache_hits", "cache_misses", "cache_evictions",
+        "cache_hits", "cache_misses",
         "cache_carried_forward", "cache_tiles", "cache_capacity",
         "cache_bytes", "stalls", "batched_requests", "batch_rounds",
         "batch_points", "batch_size_p50", "batch_size_p90", "batch_size_p99",
@@ -344,9 +341,11 @@ TEST(ServeStatsVerb, GoldenSchemaFields) {
   EXPECT_EQ(get_u64(snap, "stats_count"), 0u);
 
   // The cache mirror is refreshed from the live session before the
-  // snapshot, so capacity reflects the real tile cache.
-  EXPECT_EQ(get_u64(snap, "cache_capacity"), session.cache().capacity());
+  // snapshot, so capacity is the session's row count.
+  EXPECT_EQ(get_u64(snap, "cache_capacity"), session.grid_side());
   EXPECT_GT(get_u64(snap, "cache_bytes"), 0u);
+  // The deleted LRU's always-zero eviction count is gone from the schema.
+  EXPECT_EQ(snap.count("cache_evictions"), 0u);
 }
 
 TEST(ServeStatsVerb, StatslessHandleQueryAnswersOkFalse) {
@@ -408,6 +407,7 @@ TEST(PromExport, RendersTheDocumentedNameMapping) {
   EXPECT_NE(text.find("fvc_serve_cache_events_total{event=\"hit\"} 6"),
             std::string::npos);
   EXPECT_NE(text.find("fvc_serve_cache_tiles 2"), std::string::npos);
+  EXPECT_EQ(text.find("event=\"evict\""), std::string::npos);
   EXPECT_NE(text.find("fvc_serve_watchdog_stalls_total 0"), std::string::npos);
 
   // Quantiles only for types with traffic: point yes, region no.

@@ -160,7 +160,7 @@ TEST(MetricsJson, EveryCommandEmitsAValidDocument) {
                                           "--once", "--json"});
   EXPECT_EQ(top.code, 0);
   check_document(top.doc, "top");
-  EXPECT_NE(top.output.find("\"schema\":\"fvc.serve_stats/1\""),
+  EXPECT_NE(top.output.find("\"schema\":\"fvc.serve_stats/2\""),
             std::string::npos)
       << top.output;
 

@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "fvc/obs/run_metrics.hpp"
-#include "fvc/obs/sink.hpp"
 
 namespace fvc::obs {
 namespace {
@@ -172,42 +171,6 @@ TEST(Span, StopIsIdempotent) {
   const std::uint64_t after_stop = node.elapsed_ns();
   span.stop();  // no double-attribution
   EXPECT_EQ(node.elapsed_ns(), after_stop);
-}
-
-TEST(Sinks, NodeSinkWritesThrough) {
-  MetricsNode node("sink");
-  NodeSink sink(node);
-  sink.add("count", 2.0);
-  sink.add_elapsed_ns(7);
-  sink.observe("sizes", 12);
-  EXPECT_DOUBLE_EQ(node.counter("count"), 2.0);
-  EXPECT_EQ(node.elapsed_ns(), 7u);
-  ASSERT_NE(node.find_histogram("sizes"), nullptr);
-  EXPECT_EQ(node.find_histogram("sizes")->total(), 1u);
-}
-
-// A template call site constrained on the sink concept: with NullSink the
-// whole body is inlineable no-ops (the compile-time-checked disabled mode),
-// with NodeSink it records.  This is the pattern engine templates use.
-template <MetricSink S>
-std::uint64_t instrumented_sum(std::uint64_t n, S sink) {
-  std::uint64_t sum = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    sum += i;
-    if constexpr (S::kEnabled) {
-      sink.observe("values", i);
-    }
-  }
-  sink.add("calls", 1.0);
-  return sum;
-}
-
-TEST(Sinks, TemplateCallSiteAcceptsBothSinks) {
-  EXPECT_EQ(instrumented_sum(5, NullSink{}), 10u);
-  MetricsNode node("tmpl");
-  EXPECT_EQ(instrumented_sum(5, NodeSink(node)), 10u);  // same arithmetic
-  EXPECT_DOUBLE_EQ(node.counter("calls"), 1.0);
-  EXPECT_EQ(node.find_histogram("values")->total(), 5u);
 }
 
 TEST(RunMetrics, SchemaAndLabels) {

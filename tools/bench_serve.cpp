@@ -33,7 +33,7 @@
 ///      (`batched_requests`).  Every answer is still verified
 ///      bit-exactly.
 ///
-/// Around phase 3 the bench polls the daemon's `stats` verb (fvc.serve_stats/1)
+/// Around phase 3 the bench polls the daemon's `stats` verb (fvc.serve_stats/2)
 /// once before and once after the load, which buys two things: daemon-side
 /// latency percentiles (measured inside the handler, so client scheduling
 /// noise is excluded) recorded next to the client-side ones, and an exact
@@ -56,8 +56,8 @@
 ///     n          population size            default 300   (serve default)
 ///     seed       deployment RNG seed        default 1     (serve default)
 ///     grid_side  evaluation grid side       default 64    (serve default)
-///   radius/fov/theta/tile-rows are pinned to the serve defaults
-///   (0.15 / 2.0 / pi/2 / 8); start the daemon accordingly.
+///   radius/fov/theta are pinned to the serve defaults
+///   (0.15 / 2.0 / pi/2); start the daemon accordingly.
 ///
 /// Writes a fvc.bench_serve/5 JSON record: the shared `host` block
 /// (bench_host.hpp), offered vs achieved QPS,
@@ -215,7 +215,7 @@ double percentile_us(const std::vector<std::uint64_t>& sorted_ns, double p) {
   return static_cast<double>(sorted_ns[idx]) / 1000.0;
 }
 
-/// One fvc.serve_stats/1 snapshot, reduced to what the bench records.
+/// One fvc.serve_stats/2 snapshot, reduced to what the bench records.
 struct DaemonStats {
   double requests_total = 0.0;
   double errors_total = 0.0;
